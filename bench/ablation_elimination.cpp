@@ -14,14 +14,8 @@ using namespace ssq::bench;
 namespace {
 
 double measure_elim(int pairs, nanoseconds patience, const sweep_config &cfg) {
-  std::vector<double> samples;
-  for (int r = 0; r < cfg.reps; ++r) {
-    eliminating_sq<payload> q(patience);
-    auto res = harness::run_handoff(q, pairs, pairs, cfg.ops);
-    if (!res.checksum_ok) std::exit(1);
-    samples.push_back(res.ns_per_transfer);
-  }
-  return harness::summarize(samples).median;
+  return measure([patience] { return eliminating_sq<payload>(patience); },
+                 pairs, pairs, cfg);
 }
 
 } // namespace

@@ -23,17 +23,7 @@ using namespace ssq::bench;
 namespace {
 
 template <bool Fair, typename Rec>
-double measure_rec(int pairs, const sweep_config &cfg) {
-  std::vector<double> samples;
-  for (int r = 0; r < cfg.reps; ++r) {
-    synchronous_queue<payload, Fair, Rec> q(sync::spin_policy::adaptive(),
-                                            Rec{});
-    auto res = harness::run_handoff(q, pairs, pairs, cfg.ops);
-    if (!res.checksum_ok) std::exit(1);
-    samples.push_back(res.ns_per_transfer);
-  }
-  return harness::summarize(samples).median;
-}
+using sq = synchronous_queue<payload, Fair, Rec>;
 
 } // namespace
 
@@ -45,12 +35,12 @@ int main(int argc, char **argv) {
                     "unfair/pool-def"});
   std::vector<std::pair<int, double>> speedups; // unfair hp: heap / pool
   for (int n : cfg.levels) {
-    double uhh = measure_rec<false, mem::hp_reclaimer>(n, cfg);
-    double uph = measure_rec<false, mem::pooled_hp_reclaimer>(n, cfg);
-    double fhh = measure_rec<true, mem::hp_reclaimer>(n, cfg);
-    double fph = measure_rec<true, mem::pooled_hp_reclaimer>(n, cfg);
-    double uhd = measure_rec<false, mem::deferred_reclaimer>(n, cfg);
-    double upd = measure_rec<false, mem::pooled_deferred_reclaimer>(n, cfg);
+    double uhh = measure<sq<false, mem::hp_reclaimer>>(n, n, cfg);
+    double uph = measure<sq<false, mem::pooled_hp_reclaimer>>(n, n, cfg);
+    double fhh = measure<sq<true, mem::hp_reclaimer>>(n, n, cfg);
+    double fph = measure<sq<true, mem::pooled_hp_reclaimer>>(n, n, cfg);
+    double uhd = measure<sq<false, mem::deferred_reclaimer>>(n, n, cfg);
+    double upd = measure<sq<false, mem::pooled_deferred_reclaimer>>(n, n, cfg);
     t.add_row({std::to_string(n), harness::table::fmt(uhh),
                harness::table::fmt(uph), harness::table::fmt(fhh),
                harness::table::fmt(fph), harness::table::fmt(uhd),

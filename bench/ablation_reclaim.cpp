@@ -19,17 +19,7 @@ using namespace ssq::bench;
 namespace {
 
 template <bool Fair, typename Rec>
-double measure_rec(int pairs, const sweep_config &cfg) {
-  std::vector<double> samples;
-  for (int r = 0; r < cfg.reps; ++r) {
-    synchronous_queue<payload, Fair, Rec> q(sync::spin_policy::adaptive(),
-                                            Rec{});
-    auto res = harness::run_handoff(q, pairs, pairs, cfg.ops);
-    if (!res.checksum_ok) std::exit(1);
-    samples.push_back(res.ns_per_transfer);
-  }
-  return harness::summarize(samples).median;
-}
+using sq = synchronous_queue<payload, Fair, Rec>;
 
 // M&S queue is non-synchronous: producers never block, so quota-balance is
 // trivial; consumers poll-loop.
@@ -76,10 +66,10 @@ int main(int argc, char **argv) {
   harness::table t({"pairs", "unfair/hp", "unfair/deferred", "fair/hp",
                     "fair/deferred", "msq/epoch"});
   for (int n : cfg.levels) {
-    double uh = measure_rec<false, mem::hp_reclaimer>(n, cfg);
-    double ud = measure_rec<false, mem::deferred_reclaimer>(n, cfg);
-    double fh = measure_rec<true, mem::hp_reclaimer>(n, cfg);
-    double fd = measure_rec<true, mem::deferred_reclaimer>(n, cfg);
+    double uh = measure<sq<false, mem::hp_reclaimer>>(n, n, cfg);
+    double ud = measure<sq<false, mem::deferred_reclaimer>>(n, n, cfg);
+    double fh = measure<sq<true, mem::hp_reclaimer>>(n, n, cfg);
+    double fd = measure<sq<true, mem::deferred_reclaimer>>(n, n, cfg);
     double ms = measure_msq(n, cfg);
     t.add_row({std::to_string(n), harness::table::fmt(uh),
                harness::table::fmt(ud), harness::table::fmt(fh),

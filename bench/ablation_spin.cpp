@@ -16,14 +16,8 @@ namespace {
 
 double measure_policy(sync::spin_policy pol, int pairs,
                       const sweep_config &cfg) {
-  std::vector<double> samples;
-  for (int r = 0; r < cfg.reps; ++r) {
-    synchronous_queue<payload, false> q(pol);
-    auto res = harness::run_handoff(q, pairs, pairs, cfg.ops);
-    if (!res.checksum_ok) std::exit(1);
-    samples.push_back(res.ns_per_transfer);
-  }
-  return harness::summarize(samples).median;
+  return measure([pol] { return synchronous_queue<payload, false>(pol); },
+                 pairs, pairs, cfg);
 }
 
 } // namespace

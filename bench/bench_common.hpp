@@ -67,13 +67,15 @@ inline sweep_config parse_sweep(int argc, char **argv,
 }
 
 // Median ns/transfer over `reps` runs of a (nprod, ncons) handoff workload
-// on a fresh instance of Q per rep.
-template <typename Q>
-double measure(int nprod, int ncons, const sweep_config &cfg) {
+// on a fresh queue per rep, built by `make()` -- for queues that take
+// constructor arguments (guaranteed elision lets `make` return a
+// non-movable queue by value).
+template <typename Make>
+double measure(Make make, int nprod, int ncons, const sweep_config &cfg) {
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(cfg.reps));
   for (int r = 0; r < cfg.reps; ++r) {
-    Q q;
+    auto q = make();
     auto res = harness::run_handoff(q, nprod, ncons, cfg.ops);
     if (!res.checksum_ok) {
       std::fprintf(stderr, "CHECKSUM FAILURE (np=%d nc=%d)\n", nprod, ncons);
@@ -82,6 +84,12 @@ double measure(int nprod, int ncons, const sweep_config &cfg) {
     samples.push_back(res.ns_per_transfer);
   }
   return harness::summarize(samples).median;
+}
+
+// Same, on a default-constructed Q.
+template <typename Q>
+double measure(int nprod, int ncons, const sweep_config &cfg) {
+  return measure([] { return Q(); }, nprod, ncons, cfg);
 }
 
 inline void emit(const harness::table &t, const std::string &csv_path,

@@ -205,10 +205,6 @@ checked_ops make_checked_ops(std::shared_ptr<Q> q, bool fair,
   checked_ops o;
   o.fair = fair;
   if constexpr (requires { Q::lane_attributed; }) o.lanes = Q::lane_attributed;
-  // Structures with a buffering producer mode (fabric spill lanes) get the
-  // async workload slice too -- that is what drives the bulk-detach path.
-  if constexpr (requires(Q &qq) { qq.put_async(std::uint64_t{1}); })
-    o.produce_async = [q](std::uint64_t v) { q->put_async(v); };
   o.produce = [q, tok](std::uint64_t v, wait_kind wk, deadline dl) {
     deadline use = (wk == wait_kind::now) ? deadline::expired() : dl;
     bool ok;

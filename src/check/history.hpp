@@ -48,8 +48,8 @@ struct event {
   std::uint64_t given = 0;   // value offered (produce/exchange), else 0
   std::uint64_t got = 0;     // value received (consume/exchange), else 0
   // Pairing lane for lane-attributed cores (core/lane.hpp): a lane index,
-  // lane_elim / lane_bulk for the FIFO-exempt mechanisms, or
-  // lane_unattributed for single-lane cores and failed ops.
+  // lane_elim for FIFO-exempt arena handoffs, or lane_unattributed for
+  // single-lane cores and failed ops.
   std::uint32_t lane = lane_unattributed;
   std::uint32_t thread = 0;
   op_role role = op_role::produce;
@@ -175,7 +175,6 @@ inline const char *wait_kind_name(wait_kind wk) noexcept {
 inline std::string lane_name(std::uint32_t lane) {
   if (lane == lane_unattributed) return "-";
   if (lane == lane_elim) return "elim";
-  if (lane == lane_bulk) return "bulk";
   return std::to_string(lane);
 }
 

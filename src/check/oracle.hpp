@@ -32,16 +32,17 @@
 //      -- hence a violation -- exactly when lb(A) >= ub(B). The symmetric
 //      check runs on the consumer side. Both are O(n log n) sweeps.
 //
-//  P4' Per-lane FIFO (sharded fabric cores). The multi-lane relaxation of
-//      P4: global FIFO is deliberately given up when the rendezvous point
-//      is sharded, but each lane is itself a FIFO queue, so P4 must hold
+//  P4' Per-lane FIFO (cores with more than one pairing mechanism, e.g.
+//      the fair eliminating_sq). The relaxation of P4: global FIFO is
+//      deliberately given up when an arena handoff may overtake parked
+//      waiters, but each lane is itself a FIFO queue, so P4 must hold
 //      within every lane. Requires lane-attributed events (core/lane.hpp).
-//      Pairs delivered through the elimination arena or the bulk
-//      spill/detach path (sentinel lanes) are FIFO-exempt by spec but must
-//      be sentinel-attributed on *both* sides; a pair whose two sides
-//      disagree on the pairing lane, or a successful op with no lane at
-//      all, is a violation (the attribution itself is part of the relaxed
-//      contract -- P1/P3 still bind every pair globally).
+//      Pairs delivered through the elimination arena (the lane_elim
+//      sentinel) are FIFO-exempt by spec but must be sentinel-attributed
+//      on *both* sides; a pair whose two sides disagree on the pairing
+//      lane, or a successful op with no lane at all, is a violation (the
+//      attribution itself is part of the relaxed contract -- P1/P3 still
+//      bind every pair globally).
 //
 //  P5  Exchange symmetry (exchanger histories). Successful exchanges pair
 //      perfectly: partner(partner(x)) == x, each party received what the
@@ -66,9 +67,9 @@ namespace ssq::check {
 struct rules {
   // Check P4 (produce-side and consume-side FIFO pairing order).
   bool fifo = false;
-  // Check P4' instead: FIFO per pairing lane, for lane-attributed sharded
-  // cores (fabric). Mutually exclusive with `fifo` in practice -- a fabric
-  // with more than one lane is not globally FIFO.
+  // Check P4' instead: FIFO per pairing lane, for lane-attributed cores
+  // (eliminating_sq). Mutually exclusive with `fifo` in practice -- a core
+  // that pairs through an arena as well as its queue is not globally FIFO.
   bool fifo_lanes = false;
   // Check P3. On by default; exchangers and queues both require it.
   bool synchrony = true;
@@ -322,14 +323,12 @@ inline report check_history(const std::vector<event> &events,
                     *pv.p, *pv.c);
         continue;
       }
-      const bool p_sent = pl >= lane_sentinel_min;
-      const bool c_sent = cl >= lane_sentinel_min;
-      if (p_sent != c_sent || (!p_sent && pl != cl)) {
+      if (pl != cl) {
         detail::add(rep, "matched pair disagrees on its pairing lane",
                     *pv.p, *pv.c);
         continue;
       }
-      if (p_sent) continue; // elimination / bulk handoff: FIFO-exempt
+      if (pl == lane_elim) continue; // elimination handoff: FIFO-exempt
       by_lane[pl].push_back(pv);
     }
     for (auto &[lane, lp] : by_lane) {

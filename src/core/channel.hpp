@@ -30,11 +30,6 @@ class channel {
   channel(const channel &) = delete;
   channel &operator=(const channel &) = delete;
 
-  // Lane-count policy hook, forwarded to the fabric core (fabric.hpp).
-  explicit channel(fabric_config cfg)
-    requires(Core == core_kind::fabric)
-      : q_(cfg) {}
-
   // Blocks until received or the channel closes. Returns false (with the
   // value conceptually discarded) iff the channel is/was closed.
   bool send(T v) {
@@ -85,10 +80,5 @@ class channel {
 // reclaimer traffic (core/segment_queue.hpp).
 template <typename T>
 using segmented_channel = channel<T, true, core_kind::segmented>;
-
-// CSP over the N-lane fabric: FIFO-per-lane ordering (the fabric's fair
-// mode), select via the polling path (core/fabric.hpp, core/select.hpp).
-template <typename T>
-using fabric_channel = channel<T, true, core_kind::fabric>;
 
 } // namespace ssq

@@ -1,15 +1,17 @@
-// Lane attribution for sharded (multi-lane) structures.
+// Lane attribution: which pairing mechanism matched an operation.
 //
 // The linearizability oracle (check/oracle.hpp) checks FIFO *per lane* for
-// fabric-style cores: global FIFO is deliberately given up when the
-// rendezvous point is sharded, and the relaxed spec needs to know which
-// lane paired each operation. Cores that know their pairing lane publish it
-// here, thread-locally, immediately before returning from xfer(); the
-// checked-ops wrappers (check/driver.hpp) read it into the history event.
+// cores that pair through more than one mechanism: eliminating_sq pairs
+// either in its FIFO core (lane 0) or in the elimination arena, and an arena
+// handoff may overtake older parked waiters, so global FIFO is given up and
+// the relaxed spec needs to know which lane paired each operation. Such
+// cores publish their pairing lane here, thread-locally, immediately before
+// returning; the checked-ops wrappers (check/driver.hpp) read it into the
+// history event.
 //
-// Two pairing mechanisms bypass lanes entirely and are exempt from the
-// per-lane FIFO check (they are still covered by exact-pairing and exchange
-// symmetry): elimination-arena handoffs and bulk-detached spill items.
+// Elimination-arena handoffs bypass the lanes entirely and are exempt from
+// the per-lane FIFO check (they are still covered by exact pairing and
+// exchange symmetry).
 #pragma once
 
 #include <cstdint>
@@ -19,12 +21,8 @@ namespace ssq {
 // No lane recorded (single-lane cores, or an op that missed/cancelled).
 inline constexpr std::uint32_t lane_unattributed = 0xFFFFFFFFu;
 // Paired through an elimination arena, not a lane queue (FIFO-exempt).
+// Real lane indices must stay below this.
 inline constexpr std::uint32_t lane_elim = 0xFFFFFFFEu;
-// Delivered via the bulk spill/detach path (FIFO-exempt).
-inline constexpr std::uint32_t lane_bulk = 0xFFFFFFFDu;
-
-// Smallest sentinel: real lane indices must stay below this.
-inline constexpr std::uint32_t lane_sentinel_min = lane_bulk;
 
 // Set by lane-attributed cores on every completed transfer; consumed by the
 // checked-ops wrappers. Plain thread-local (no synchronization needed: it is

@@ -11,11 +11,6 @@
 //   * core_kind::segmented -> the CQS-style waiter-cell segment core
 //                             (core/segment_queue.hpp; Fair only -- cell
 //                             indices are FIFO by construction)
-//   * core_kind::fabric    -> the N-lane sharded fabric over segmented lane
-//                             queues (core/fabric.hpp). Fair keeps
-//                             FIFO-per-lane + round-robin pairing; unfair
-//                             adds d-choice probing and elimination. Lane
-//                             count is set via the fabric_config ctor.
 //
 // Operations (all thread-safe, lock-free, contention-free in the paper's
 // sense):
@@ -36,7 +31,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "core/fabric.hpp"
 #include "core/segment_queue.hpp"
 #include "core/transfer_queue.hpp"
 #include "core/transfer_stack.hpp"
@@ -45,7 +39,7 @@
 
 namespace ssq {
 
-enum class core_kind { linked, segmented, fabric };
+enum class core_kind { linked, segmented };
 
 template <typename T, bool Fair = false,
           typename Reclaimer = mem::pooled_hp_reclaimer,
@@ -56,46 +50,25 @@ class synchronous_queue {
                 "with Fair = true");
   using linked_t = std::conditional_t<Fair, transfer_queue<Reclaimer>,
                                       transfer_stack<Reclaimer>>;
-  using core_t = std::conditional_t<
-      Core == core_kind::segmented, segment_queue<Reclaimer>,
-      std::conditional_t<Core == core_kind::fabric,
-                         fabric<segment_queue<Reclaimer>, Reclaimer>,
-                         linked_t>>;
+  using core_t = std::conditional_t<Core == core_kind::segmented,
+                                    segment_queue<Reclaimer>, linked_t>;
   using codec = item_codec<T>;
 
  public:
   static constexpr bool supports_timed = true;
   static constexpr bool is_fair = Fair;
   // select dispatches on this: segmented cores take reservation installs
-  // instead of the polling quantum loop (core/select.hpp). The fabric is
-  // *not* registering -- its lanes are, but a cross-lane reservation
-  // protocol is future work -- so it takes the polling path.
+  // instead of the polling quantum loop (core/select.hpp).
   static constexpr bool segmented_core = Core == core_kind::segmented;
-  // The checked-ops wrappers read ssq::tl_last_lane after each operation
-  // when this is set (check/driver.hpp; core/lane.hpp).
-  static constexpr bool lane_attributed = Core == core_kind::fabric;
 
   synchronous_queue() : synchronous_queue(sync::spin_policy::adaptive()) {}
 
-  explicit synchronous_queue(sync::spin_policy pol)
-      : core_(make_core(pol, Reclaimer{})) {
+  explicit synchronous_queue(sync::spin_policy pol) : core_(pol) {
     core_.set_token_disposer(&dispose_token);
   }
 
   synchronous_queue(sync::spin_policy pol, Reclaimer rec)
-      : core_(make_core(pol, std::move(rec))) {
-    core_.set_token_disposer(&dispose_token);
-  }
-
-  // Lane-count policy hook (fabric cores only): cfg.lanes picks the shard
-  // count (0 = auto); cfg.fair is overridden by the Fair template argument
-  // so the facade's fairness contract cannot be contradicted.
-  explicit synchronous_queue(fabric_config cfg,
-                             sync::spin_policy pol =
-                                 sync::spin_policy::adaptive(),
-                             Reclaimer rec = Reclaimer{})
-    requires(Core == core_kind::fabric)
-      : core_(make_core(cfg, pol, std::move(rec))) {
+      : core_(pol, std::move(rec)) {
     core_.set_token_disposer(&dispose_token);
   }
 
@@ -111,19 +84,6 @@ class synchronous_queue {
     item_token r = core_.xfer(empty_token, false, wait_kind::sync);
     SSQ_ASSERT(r != empty_token, "untimed take cannot fail");
     return codec::decode_consume(r);
-  }
-
-  // Fire-and-forget handoff (fabric cores only): deliver to a probed
-  // waiting consumer if one exists, otherwise buffer the item in the
-  // producer's home-lane spill for bulk detachment. Never blocks, never
-  // fails; the synchrony contract is relaxed to "the item cannot be taken
-  // before it was offered" (check/oracle.hpp P3's async exemption).
-  void put_async(T v)
-    requires(Core == core_kind::fabric)
-  {
-    item_token t = codec::encode(std::move(v));
-    item_token r = core_.xfer(t, true, wait_kind::async);
-    SSQ_ASSERT(r != empty_token, "async put cannot fail");
   }
 
   // Non-blocking handoff: succeeds only if a consumer is already waiting.
@@ -229,22 +189,6 @@ class synchronous_queue {
  private:
   static void dispose_token(item_token t) { codec::dispose(t); }
 
-  static core_t make_core(sync::spin_policy pol, Reclaimer rec) {
-    if constexpr (Core == core_kind::fabric) {
-      return make_core(fabric_config{}, pol, std::move(rec));
-    } else {
-      return core_t(pol, std::move(rec));
-    }
-  }
-
-  static core_t make_core(fabric_config cfg, sync::spin_policy pol,
-                          Reclaimer rec)
-    requires(Core == core_kind::fabric)
-  {
-    cfg.fair = Fair;
-    return core_t(cfg, pol, std::move(rec));
-  }
-
   core_t core_;
 };
 
@@ -258,13 +202,5 @@ using unfair_synchronous_queue = synchronous_queue<T, false, R>;
 template <typename T, typename R = mem::pooled_hp_reclaimer>
 using segmented_synchronous_queue =
     synchronous_queue<T, true, R, core_kind::segmented>;
-
-template <typename T, typename R = mem::pooled_hp_reclaimer>
-using fabric_synchronous_queue =
-    synchronous_queue<T, false, R, core_kind::fabric>;
-
-template <typename T, typename R = mem::pooled_hp_reclaimer>
-using fair_fabric_synchronous_queue =
-    synchronous_queue<T, true, R, core_kind::fabric>;
 
 } // namespace ssq

@@ -124,10 +124,14 @@ class transfer_stack {
         }
         if (s == nullptr) {
           s = rec_.template create<snode>(e, mode);
-          if (wk == wait_kind::async) s->life.preset_released();
         } else {
-          s->mode = mode; // may carry a fulfilling bit from a failed attempt
+          // Reused after a lost push CAS, possibly in the fulfill branch:
+          // drop its fulfilling bit and reset its life bits.
+          s->mode = mode;
+          s->life.preset_owned();
         }
+        // An async owner never waits on its node, so it never releases it.
+        if (wk == wait_kind::async) s->life.preset_released();
         SSQ_MO_JUSTIFIED(
             "relaxed: pre-publication store; the seq_cst head CAS below "
             "releases the node");
@@ -161,7 +165,10 @@ class transfer_stack {
         if (s == nullptr) {
           s = rec_.template create<snode>(e, mode | fulfilling);
         } else {
+          // Reused after a lost push CAS, possibly as an async waiter's
+          // node: a fulfiller always releases its own node.
           s->mode = mode | fulfilling;
+          s->life.preset_owned();
         }
         SSQ_MO_JUSTIFIED(
             "relaxed: pre-publication store; the seq_cst head CAS below "

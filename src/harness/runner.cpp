@@ -7,7 +7,12 @@ namespace ssq::harness {
 
 double run_threads_timed(std::vector<std::function<void()>> bodies) {
   const int n = static_cast<int>(bodies.size());
-  std::barrier gate(n + 1);
+  // The clock starts in the barrier's completion step, which runs before
+  // any party is released. Reading it after this thread's arrive_and_wait()
+  // returns would miss whatever the workers finish while this thread waits
+  // to be rescheduled -- on a loaded host, sometimes the whole run.
+  steady_clock::time_point t0;
+  std::barrier gate(n + 1, [&t0]() noexcept { t0 = steady_clock::now(); });
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(n));
   for (auto &b : bodies) {
@@ -17,7 +22,6 @@ double run_threads_timed(std::vector<std::function<void()>> bodies) {
     });
   }
   gate.arrive_and_wait();
-  auto t0 = steady_clock::now();
   for (auto &t : threads) t.join();
   auto t1 = steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();

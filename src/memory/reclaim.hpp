@@ -98,6 +98,16 @@ class life_cycle {
     bits_.store(released_bit, std::memory_order_relaxed);
   }
 
+  // Undo preset_released() on a never-published node whose next
+  // publication has an owner that releases it after all (a node reused
+  // across push attempts of different kinds: core/transfer_stack.hpp).
+  void preset_owned() noexcept {
+    SSQ_MO_JUSTIFIED(
+        "relaxed: runs before the node is published (no concurrent reader); "
+        "the publishing CAS provides the release fence");
+    bits_.store(0, std::memory_order_relaxed);
+  }
+
   bool is_unlinked() const noexcept {
     SSQ_MO_JUSTIFIED(
         "acquire: pairs with mark_unlinked's release half so a reader that "

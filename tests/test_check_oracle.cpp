@@ -34,7 +34,7 @@ event ev(std::uint32_t tid, op_role role, op_status st, std::uint64_t inv,
   return e;
 }
 
-// Same, with a lane attribution (multi-lane fabric histories).
+// Same, with a lane attribution (lane-attributed histories, rule P4').
 event evl(std::uint32_t tid, op_role role, op_status st, std::uint64_t inv,
           std::uint64_t ret, std::uint64_t given, std::uint64_t got,
           std::uint32_t lane, wait_kind wk = wait_kind::timed) {
@@ -179,7 +179,7 @@ TEST(Oracle, AcceptsFifoOrderForAsyncProducers) {
   EXPECT_TRUE(rep.ok()) << summarize(rep);
 }
 
-// ------------------------------------------------- per-lane FIFO (fabric)
+// ------------------------------------- per-lane FIFO (eliminating_sq, P4')
 
 TEST(Oracle, LanesAcceptCrossLaneInversionButNotGlobalFifo) {
   // Two async producers on different lanes delivered out of global order:
@@ -240,15 +240,14 @@ TEST(Oracle, LanesFlagUnattributedPair) {
 }
 
 TEST(Oracle, LanesExemptSentinelPairsFromFifo) {
-  // An elimination handoff and a bulk delivery may overtake lane traffic;
-  // both sides carry the sentinel, so they are FIFO-exempt but still
-  // pairing-checked.
+  // Elimination handoffs may overtake lane traffic; both sides carry the
+  // sentinel, so they are FIFO-exempt but still pairing-checked.
   std::vector<event> h{
       evl(0, op_role::produce, op_status::ok, 1, 2, 7, 0, 0,
           wait_kind::async),
-      evl(0, op_role::produce, op_status::ok, 10, 11, 8, 0, lane_bulk,
+      evl(0, op_role::produce, op_status::ok, 10, 11, 8, 0, lane_elim,
           wait_kind::async),
-      evl(1, op_role::consume, op_status::ok, 20, 30, 0, 8, lane_bulk),
+      evl(1, op_role::consume, op_status::ok, 20, 30, 0, 8, lane_elim),
       evl(1, op_role::consume, op_status::ok, 50, 60, 0, 7, 0),
       evl(2, op_role::produce, op_status::ok, 70, 90, 9, 0, lane_elim),
       evl(3, op_role::consume, op_status::ok, 71, 89, 0, 9, lane_elim),

@@ -130,33 +130,6 @@ TEST(LinearizeCheck, EliminatingFair) {
                    true, 116);
 }
 
-// ------------------------------------------------------------------ fabric
-
-// Multi-lane fabric, fair mode: FIFO per lane + round-robin pairing; the
-// async workload slice drives the spill/bulk-detach path (lane_bulk pairs).
-TEST(LinearizeCheck, FabricFairFourLanes) {
-  expect_clean_run(
-      std::make_shared<fair_fabric_synchronous_queue<std::uint64_t>>(
-          fabric_config{4}),
-      true, 117);
-}
-
-TEST(LinearizeCheck, FabricUnfairFourLanes) {
-  expect_clean_run(
-      std::make_shared<fabric_synchronous_queue<std::uint64_t>>(
-          fabric_config{4}),
-      false, 118);
-}
-
-// Degenerate lane count: a 1-lane fair fabric must satisfy the per-lane
-// spec trivially (every non-exempt pairing on lane 0).
-TEST(LinearizeCheck, FabricFairSingleLane) {
-  expect_clean_run(
-      std::make_shared<fair_fabric_synchronous_queue<std::uint64_t>>(
-          fabric_config{1}),
-      true, 119);
-}
-
 // ------------------------------------------- elimination arena regression
 //
 // Satellite of the withdraw-vs-claim audit (core/elimination_arena.hpp):

@@ -14,6 +14,7 @@
 #include "core/transfer_queue.hpp"
 #include "core/transfer_stack.hpp"
 #include "support/codec.hpp"
+#include "support/diagnostics.hpp"
 
 using namespace ssq;
 
@@ -32,6 +33,8 @@ struct core_iface {
 
 template <typename C>
 struct core_impl final : core_iface {
+  explicit core_impl(mem::hazard_domain *dom)
+      : c(sync::spin_policy::adaptive(), mem::pooled_hp_reclaimer{dom}) {}
   C c;
   item_token xfer(item_token e, bool is_data, wait_kind wk,
                   deadline dl) override {
@@ -47,9 +50,11 @@ struct mode_param {
   const char *name;
 };
 
-std::unique_ptr<core_iface> make(which w) {
-  if (w == which::queue) return std::make_unique<core_impl<transfer_queue<>>>();
-  return std::make_unique<core_impl<transfer_stack<>>>();
+std::unique_ptr<core_iface> make(
+    which w, mem::hazard_domain *dom = &mem::hazard_domain::global()) {
+  if (w == which::queue)
+    return std::make_unique<core_impl<transfer_queue<>>>(dom);
+  return std::make_unique<core_impl<transfer_stack<>>>(dom);
 }
 
 std::string pname(const ::testing::TestParamInfo<mode_param> &i) {
@@ -221,62 +226,75 @@ TEST_P(ModeMatrix, TimedConsumerDrainsAsyncBacklog) {
 
 // ---- mixed-mode pileups keep working. ----
 
+// The async and timed producers here publish nodes that were first built
+// for a lost push CAS in the other branch (the stack's fulfill vs. wait
+// push). A private, drained hazard domain makes every node the run
+// allocated account for itself: one published with the wrong life bits
+// either leaks (node_alloc > node_free) or trips "double owner release".
 TEST_P(ModeMatrix, MixedModeGauntlet) {
+  diag::reset_all();
   std::atomic<long> in{0}, out{0};
   std::atomic<int> net{0};
-  std::vector<std::thread> ts;
-  for (int t = 0; t < 4; ++t) {
-    ts.emplace_back([&, t] {
-      for (int i = 0; i < 1000; ++i) {
-        int v = t * 1000 + i + 1;
-        switch ((t + i) % 4) {
-          case 0:
-            if (q->xfer(tok_of(v), true, wait_kind::timed,
-                        deadline::in(std::chrono::milliseconds(2))) !=
-                empty_token) {
+  {
+    mem::hazard_domain dom;
+    auto g = make(GetParam().structure, &dom);
+    std::vector<std::thread> ts;
+    for (int t = 0; t < 4; ++t) {
+      ts.emplace_back([&, t] {
+        for (int i = 0; i < 1000; ++i) {
+          int v = t * 1000 + i + 1;
+          switch ((t + i) % 4) {
+            case 0:
+              if (g->xfer(tok_of(v), true, wait_kind::timed,
+                          deadline::in(std::chrono::milliseconds(2))) !=
+                  empty_token) {
+                in.fetch_add(v);
+                net.fetch_add(1);
+              }
+              break;
+            case 1: {
+              item_token r =
+                  g->xfer(empty_token, false, wait_kind::timed,
+                          deadline::in(std::chrono::milliseconds(2)));
+              if (r != empty_token) {
+                out.fetch_add(val_of(r));
+                net.fetch_sub(1);
+              }
+              break;
+            }
+            case 2:
+              g->xfer(tok_of(v), true, wait_kind::async,
+                      deadline::unbounded());
               in.fetch_add(v);
               net.fetch_add(1);
+              break;
+            default: {
+              item_token r = g->xfer(empty_token, false, wait_kind::now,
+                                     deadline::expired());
+              if (r != empty_token) {
+                out.fetch_add(val_of(r));
+                net.fetch_sub(1);
+              }
+              break;
             }
-            break;
-          case 1: {
-            item_token r =
-                q->xfer(empty_token, false, wait_kind::timed,
-                        deadline::in(std::chrono::milliseconds(2)));
-            if (r != empty_token) {
-              out.fetch_add(val_of(r));
-              net.fetch_sub(1);
-            }
-            break;
-          }
-          case 2:
-            q->xfer(tok_of(v), true, wait_kind::async, deadline::unbounded());
-            in.fetch_add(v);
-            net.fetch_add(1);
-            break;
-          default: {
-            item_token r = q->xfer(empty_token, false, wait_kind::now,
-                                   deadline::expired());
-            if (r != empty_token) {
-              out.fetch_add(val_of(r));
-              net.fetch_sub(1);
-            }
-            break;
           }
         }
-      }
-    });
-  }
-  for (auto &t : ts) t.join();
-  // Drain async leftovers.
-  for (;;) {
-    item_token r =
-        q->xfer(empty_token, false, wait_kind::now, deadline::expired());
-    if (r == empty_token) break;
-    out.fetch_add(val_of(r));
-    net.fetch_sub(1);
+      });
+    }
+    for (auto &t : ts) t.join();
+    // Drain async leftovers.
+    for (;;) {
+      item_token r =
+          g->xfer(empty_token, false, wait_kind::now, deadline::expired());
+      if (r == empty_token) break;
+      out.fetch_add(val_of(r));
+      net.fetch_sub(1);
+    }
+    dom.drain();
   }
   EXPECT_EQ(net.load(), 0);
   EXPECT_EQ(in.load(), out.load());
+  EXPECT_EQ(diag::read(diag::id::node_alloc), diag::read(diag::id::node_free));
 }
 
 INSTANTIATE_TEST_SUITE_P(Cores, ModeMatrix,

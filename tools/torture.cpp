@@ -17,12 +17,11 @@
 //
 //   ./torture --impl=new-fair --threads=8 --seconds=30 --seed=42
 //             --check=linearize [--fuzz=1]
-//   impls: new-fair new-unfair seg-fair fab-fair fab-unfair java5-fair
-//          java5-unfair naive eliminating elim-unfair elim-fair
-//          ltq exchanger channel
+//   impls: new-fair new-unfair seg-fair java5-fair java5-unfair naive
+//          eliminating elim-unfair elim-fair ltq exchanger channel
 //   (exchanger and channel support --check=linearize only. "eliminating"
-//   is an alias for elim-unfair. Lane-attributed impls -- fab-* and elim-*
-//   -- are checked against the relaxed per-lane FIFO spec when fair.)
+//   is an alias for elim-unfair. The lane-attributed elim-fair is checked
+//   against the relaxed per-lane FIFO spec.)
 //
 // --fuzz=1 turns on the schedule-perturbation points when the build compiled
 // them in (-DSSQ_SCHEDULE_FUZZ=ON); otherwise it warns and proceeds. The
@@ -121,16 +120,6 @@ impl_desc make_impl(const std::string &name) {
   if (name == "seg-fair")
     return make_impl_both(
         std::make_shared<segmented_synchronous_queue<std::uint64_t>>(), true);
-  if (name == "fab-fair")
-    return make_impl_both(
-        std::make_shared<fair_fabric_synchronous_queue<std::uint64_t>>(
-            fabric_config{4}),
-        true);
-  if (name == "fab-unfair")
-    return make_impl_both(
-        std::make_shared<fabric_synchronous_queue<std::uint64_t>>(
-            fabric_config{4}),
-        false);
   if (name == "java5-fair")
     return make_impl_both(std::make_shared<java5_sq<std::uint64_t, true>>(),
                           true);
@@ -351,7 +340,7 @@ int run_linearize(const std::string &impl, impl_desc &d, int nthreads,
   vit.join();
 
   check::rules r;
-  // Lane-attributed fair impls (fabric, eliminating queue) promise FIFO
+  // Lane-attributed fair impls (the eliminating queue) promise FIFO
   // per pairing lane, not globally (check/oracle.hpp P4').
   r.fifo = d.fair && !d.checked.lanes;
   r.fifo_lanes = d.fair && d.checked.lanes;
