@@ -212,7 +212,7 @@ class java5_sq {
   // otherwise return -- destroying the node -- between the matcher's
   // state.store and its signal(); wait out that instruction-scale window.
   static void settle(node &self) noexcept {
-    while (!self.slot.was_signalled()) cpu_relax();
+    sync::settle([&self] { return self.slot.was_signalled(); });
   }
 
   lock_t qlock_;

@@ -21,7 +21,6 @@
 
 #include "check/history.hpp"
 #include "check/oracle.hpp"
-#include "core/lane.hpp"
 #include "support/rng.hpp"
 #include "support/time.hpp"
 #include "sync/interrupt.hpp"
@@ -43,10 +42,6 @@ struct checked_ops {
   // when empty. Used by the post-run drain loop.
   std::function<std::optional<std::uint64_t>()> drain_one;
   bool fair = false;
-  // The implementation publishes its pairing lane via ssq::tl_last_lane
-  // (core/lane.hpp); run_mixed copies it into every event so the oracle
-  // can check FIFO per lane (rules::fifo_lanes).
-  bool lanes = false;
 };
 
 struct driver_cfg {
@@ -117,17 +112,13 @@ inline std::uint64_t run_mixed(const checked_ops &ops, const driver_cfg &cfg,
           if (go_async) {
             op_scope sc(rec, static_cast<std::size_t>(t), op_role::produce,
                         wait_kind::async);
-            if (ops.lanes) tl_last_lane = lane_unattributed;
             ops.produce_async(v);
-            if (ops.lanes) sc.lane(tl_last_lane);
             sc.commit(op_status::ok, v, 0);
             if (stats) stats->produced.fetch_add(1, std::memory_order_relaxed);
           } else {
             op_scope sc(rec, static_cast<std::size_t>(t), op_role::produce,
                         wk);
-            if (ops.lanes) tl_last_lane = lane_unattributed;
             op_status st = ops.produce(v, wk, dl);
-            if (ops.lanes) sc.lane(tl_last_lane);
             sc.commit(st, v, 0);
             if (stats) {
               if (st == op_status::ok)
@@ -142,9 +133,7 @@ inline std::uint64_t run_mixed(const checked_ops &ops, const driver_cfg &cfg,
           }
         } else {
           op_scope sc(rec, static_cast<std::size_t>(t), op_role::consume, wk);
-          if (ops.lanes) tl_last_lane = lane_unattributed;
           auto [st, got] = ops.consume(wk, dl);
-          if (ops.lanes) sc.lane(tl_last_lane);
           sc.commit(st, 0, st == op_status::ok ? got : 0);
           if (stats) {
             if (st == op_status::ok)
@@ -173,9 +162,7 @@ inline std::uint64_t run_mixed(const checked_ops &ops, const driver_cfg &cfg,
     const std::size_t drain_tid = static_cast<std::size_t>(cfg.threads);
     for (;;) {
       op_scope sc(rec, drain_tid, op_role::consume, wait_kind::timed);
-      if (ops.lanes) tl_last_lane = lane_unattributed;
       auto got = ops.drain_one();
-      if (ops.lanes) sc.lane(tl_last_lane);
       if (!got) {
         sc.commit(op_status::timeout, 0, 0);
         break;
@@ -204,7 +191,6 @@ checked_ops make_checked_ops(std::shared_ptr<Q> q, bool fair,
       };
   checked_ops o;
   o.fair = fair;
-  if constexpr (requires { Q::lane_attributed; }) o.lanes = Q::lane_attributed;
   o.produce = [q, tok](std::uint64_t v, wait_kind wk, deadline dl) {
     deadline use = (wk == wait_kind::now) ? deadline::expired() : dl;
     bool ok;

@@ -23,10 +23,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <string>
 #include <vector>
 
-#include "core/lane.hpp"
 #include "core/wait_kind.hpp"
 
 namespace ssq::check {
@@ -47,10 +45,6 @@ struct event {
   std::uint64_t ret = 0;     // global stamp immediately after the call
   std::uint64_t given = 0;   // value offered (produce/exchange), else 0
   std::uint64_t got = 0;     // value received (consume/exchange), else 0
-  // Pairing lane for lane-attributed cores (core/lane.hpp): a lane index,
-  // lane_elim for FIFO-exempt arena handoffs, or lane_unattributed for
-  // single-lane cores and failed ops.
-  std::uint32_t lane = lane_unattributed;
   std::uint32_t thread = 0;
   op_role role = op_role::produce;
   wait_kind wk = wait_kind::sync;
@@ -122,10 +116,6 @@ class op_scope {
     ev_.invoke = r.stamp();
   }
 
-  // Record the pairing lane (lane-attributed cores only; see core/lane.hpp).
-  // Call before commit().
-  void lane(std::uint32_t l) noexcept { ev_.lane = l; }
-
   void commit(op_status st, std::uint64_t given, std::uint64_t got) {
     ev_.ret = r_.stamp();
     ev_.status = st;
@@ -171,29 +161,21 @@ inline const char *wait_kind_name(wait_kind wk) noexcept {
   return "?";
 }
 
-// Lane column for dump_history: an index, a sentinel's name, or "-".
-inline std::string lane_name(std::uint32_t lane) {
-  if (lane == lane_unattributed) return "-";
-  if (lane == lane_elim) return "elim";
-  return std::to_string(lane);
-}
-
-// One line per event: "tid role wk status invoke ret given got lane".
+// One line per event: "tid role wk status invoke ret given got".
 // Sorted by invoke stamp so a human reads the history in (an) admissible
 // real-time order. Used to dump failing histories next to their
 // reproducing seed.
 inline void dump_history(std::FILE *f, std::vector<event> events) {
   std::sort(events.begin(), events.end(),
             [](const event &a, const event &b) { return a.invoke < b.invoke; });
-  std::fprintf(f, "# tid role wk status invoke ret given got lane\n");
+  std::fprintf(f, "# tid role wk status invoke ret given got\n");
   for (const event &e : events)
-    std::fprintf(f, "%u %s %s %s %llu %llu %llu %llu %s\n", e.thread,
+    std::fprintf(f, "%u %s %s %s %llu %llu %llu %llu\n", e.thread,
                  role_name(e.role), wait_kind_name(e.wk), status_name(e.status),
                  static_cast<unsigned long long>(e.invoke),
                  static_cast<unsigned long long>(e.ret),
                  static_cast<unsigned long long>(e.given),
-                 static_cast<unsigned long long>(e.got),
-                 lane_name(e.lane).c_str());
+                 static_cast<unsigned long long>(e.got));
 }
 
 } // namespace ssq::check

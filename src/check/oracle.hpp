@@ -32,18 +32,6 @@
 //      -- hence a violation -- exactly when lb(A) >= ub(B). The symmetric
 //      check runs on the consumer side. Both are O(n log n) sweeps.
 //
-//  P4' Per-lane FIFO (cores with more than one pairing mechanism, e.g.
-//      the fair eliminating_sq). The relaxation of P4: global FIFO is
-//      deliberately given up when an arena handoff may overtake parked
-//      waiters, but each lane is itself a FIFO queue, so P4 must hold
-//      within every lane. Requires lane-attributed events (core/lane.hpp).
-//      Pairs delivered through the elimination arena (the lane_elim
-//      sentinel) are FIFO-exempt by spec but must be sentinel-attributed
-//      on *both* sides; a pair whose two sides disagree on the pairing
-//      lane, or a successful op with no lane at all, is a violation (the
-//      attribution itself is part of the relaxed contract -- P1/P3 still
-//      bind every pair globally).
-//
 //  P5  Exchange symmetry (exchanger histories). Successful exchanges pair
 //      perfectly: partner(partner(x)) == x, each party received what the
 //      other gave, and the intervals overlap.
@@ -67,10 +55,6 @@ namespace ssq::check {
 struct rules {
   // Check P4 (produce-side and consume-side FIFO pairing order).
   bool fifo = false;
-  // Check P4' instead: FIFO per pairing lane, for lane-attributed cores
-  // (eliminating_sq). Mutually exclusive with `fifo` in practice -- a core
-  // that pairs through an arena as well as its queue is not globally FIFO.
-  bool fifo_lanes = false;
   // Check P3. On by default; exchangers and queues both require it.
   bool synchrony = true;
   // Treat unconsumed successful produces as violations (P1 second half).
@@ -310,40 +294,6 @@ inline report check_history(const std::vector<event> &events,
         [](const detail::pair_iv &x) { return x.c_ret; }, "consumer order");
   }
 
-  if (r.fifo_lanes) {
-    // P4': bucket pairs by pairing lane, then run the P4 sweeps inside
-    // each bucket. Attribution errors are violations in their own right.
-    std::unordered_map<std::uint32_t, std::vector<detail::pair_iv>> by_lane;
-    for (const detail::pair_iv &pv : pairs) {
-      const std::uint32_t pl = pv.p->lane, cl = pv.c->lane;
-      if (pl == lane_unattributed || cl == lane_unattributed) {
-        detail::add(rep,
-                    "lane-attributed history contains a successful pair "
-                    "with no lane attribution",
-                    *pv.p, *pv.c);
-        continue;
-      }
-      if (pl != cl) {
-        detail::add(rep, "matched pair disagrees on its pairing lane",
-                    *pv.p, *pv.c);
-        continue;
-      }
-      if (pl == lane_elim) continue; // elimination handoff: FIFO-exempt
-      by_lane[pl].push_back(pv);
-    }
-    for (auto &[lane, lp] : by_lane) {
-      const std::string tag = "lane " + std::to_string(lane);
-      detail::check_fifo_side(
-          rep, lp, [](const detail::pair_iv &x) { return x.p_inv; },
-          [](const detail::pair_iv &x) { return x.p_ret; },
-          ("producer order, " + tag).c_str());
-      detail::check_fifo_side(
-          rep, lp, [](const detail::pair_iv &x) { return x.c_inv; },
-          [](const detail::pair_iv &x) { return x.c_ret; },
-          ("consumer order, " + tag).c_str());
-    }
-  }
-
   return rep;
 }
 
@@ -360,14 +310,13 @@ inline std::string summarize(const report &rep, std::size_t max = 8) {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "  %s [tid=%u %s/%s/%s inv=%llu ret=%llu given=%llu "
-                  "got=%llu lane=%s]\n",
+                  "got=%llu]\n",
                   v.what.c_str(), v.a.thread, role_name(v.a.role),
                   wait_kind_name(v.a.wk), status_name(v.a.status),
                   static_cast<unsigned long long>(v.a.invoke),
                   static_cast<unsigned long long>(v.a.ret),
                   static_cast<unsigned long long>(v.a.given),
-                  static_cast<unsigned long long>(v.a.got),
-                  lane_name(v.a.lane).c_str());
+                  static_cast<unsigned long long>(v.a.got));
     s += buf;
   }
   return s;

@@ -24,8 +24,6 @@ namespace ssq {
 template <typename T, bool Fair = true, core_kind Core = core_kind::linked>
 class channel {
  public:
-  static constexpr bool segmented_core = Core == core_kind::segmented;
-
   channel() = default;
   channel(const channel &) = delete;
   channel &operator=(const channel &) = delete;

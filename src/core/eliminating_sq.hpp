@@ -1,50 +1,34 @@
-// eliminating_sq<T, Fair>: a synchronous queue with an elimination-arena
+// eliminating_sq<T>: the unfair synchronous queue with an elimination-arena
 // front end -- the extension the paper sketches and leaves to future work
 // (§5): "the threads must eventually fall back ... to try the main
 // location."
 //
 // Every blocking operation first spends a short, bounded patience trying to
 // pair up in the arena; only on failure does it fall back to the dual
-// structure (stack when Fair = false, queue when Fair = true). The paper
-// predicts ("In preliminary work, we have found elimination to be
-// beneficial only in cases of artificially extreme contention") -- and
-// bench/ablation_elimination measures -- that the arena detour costs
-// latency at low contention and only pays off when the main head pointer is
-// saturated.
-//
-// Ordering contract: elimination pairs opportunistically, so even over the
-// FIFO dual queue the *global* order is relaxed -- an arena handoff can
-// overtake older parked waiters. Operations are lane-attributed
-// (core/lane.hpp): core pairings report lane 0, arena pairings report
-// lane_elim, and the oracle checks FIFO per lane with arena pairs exempt
-// (check/oracle.hpp P4').
+// stack. The paper predicts ("In preliminary work, we have found
+// elimination to be beneficial only in cases of artificially extreme
+// contention") -- and bench/ablation_elimination measures -- that the arena
+// detour costs latency at low contention and only pays off when the main
+// head pointer is saturated.
 #pragma once
 
 #include <optional>
-#include <type_traits>
 #include <utility>
 
 #include "core/elimination_arena.hpp"
-#include "core/lane.hpp"
-#include "core/transfer_queue.hpp"
 #include "core/transfer_stack.hpp"
 #include "core/wait_kind.hpp"
 #include "support/codec.hpp"
 
 namespace ssq {
 
-template <typename T, bool Fair = false,
-          typename Reclaimer = mem::pooled_hp_reclaimer>
+template <typename T, typename Reclaimer = mem::pooled_hp_reclaimer>
 class eliminating_sq {
   using codec = item_codec<T>;
-  using core_t = std::conditional_t<Fair, transfer_queue<Reclaimer>,
-                                    transfer_stack<Reclaimer>>;
 
  public:
   static constexpr bool supports_timed = true;
-  static constexpr bool is_fair = Fair;
-  // The checked-ops wrappers read ssq::tl_last_lane after each operation.
-  static constexpr bool lane_attributed = true;
+  static constexpr bool is_fair = false;
 
   explicit eliminating_sq(
       nanoseconds arena_patience = std::chrono::microseconds(10),
@@ -54,32 +38,21 @@ class eliminating_sq {
   }
 
   void put(T v) {
-    tl_last_lane = lane_unattributed;
     item_token t = codec::encode(std::move(v));
     if (arena_.try_eliminate(t, true, deadline::in(patience_), pol_) !=
-        empty_token) {
-      tl_last_lane = lane_elim;
+        empty_token)
       return;
-    }
     core_.xfer(t, true, wait_kind::sync);
-    tl_last_lane = 0;
   }
 
   T take() {
-    tl_last_lane = lane_unattributed;
     item_token r =
         arena_.try_eliminate(empty_token, false, deadline::in(patience_), pol_);
-    if (r != empty_token) {
-      tl_last_lane = lane_elim;
-    } else {
-      r = core_.xfer(empty_token, false, wait_kind::sync);
-      tl_last_lane = 0;
-    }
+    if (r == empty_token) r = core_.xfer(empty_token, false, wait_kind::sync);
     return codec::decode_consume(r);
   }
 
   bool offer(T v, deadline dl = deadline::expired()) {
-    tl_last_lane = lane_unattributed;
     item_token t = codec::encode(std::move(v));
     // Non-blocking ("now") operations skip the arena: they must observe
     // only *already waiting* counterparts, and an arena visit could miss
@@ -90,34 +63,26 @@ class eliminating_sq {
         (dl == deadline::expired()) ? wait_kind::now : wait_kind::timed;
     if (wk == wait_kind::timed &&
         arena_.try_eliminate(t, true, arena_deadline(dl), pol_) !=
-            empty_token) {
-      tl_last_lane = lane_elim;
+            empty_token)
       return true;
-    }
     item_token r = core_.xfer(t, true, wk, dl);
     if (r == empty_token) {
       codec::dispose(t);
       return false;
     }
-    tl_last_lane = 0;
     return true;
   }
 
   std::optional<T> poll(deadline dl = deadline::expired()) {
-    tl_last_lane = lane_unattributed;
     wait_kind wk =
         (dl == deadline::expired()) ? wait_kind::now : wait_kind::timed;
     if (wk == wait_kind::timed) {
       item_token e =
           arena_.try_eliminate(empty_token, false, arena_deadline(dl), pol_);
-      if (e != empty_token) {
-        tl_last_lane = lane_elim;
-        return codec::decode_consume(e);
-      }
+      if (e != empty_token) return codec::decode_consume(e);
     }
     item_token r = core_.xfer(empty_token, false, wk, dl);
     if (r == empty_token) return std::nullopt;
-    tl_last_lane = 0;
     return codec::decode_consume(r);
   }
 
@@ -134,11 +99,7 @@ class eliminating_sq {
   sync::spin_policy pol_;
   nanoseconds patience_;
   elimination_arena<16> arena_;
-  core_t core_;
+  transfer_stack<Reclaimer> core_;
 };
-
-// The fair flavor: elimination front end over the FIFO dual queue.
-template <typename T, typename R = mem::pooled_hp_reclaimer>
-using fair_eliminating_sq = eliminating_sq<T, true, R>;
 
 } // namespace ssq

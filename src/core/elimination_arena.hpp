@@ -128,33 +128,16 @@ class elimination_arena {
       if (slot.compare_exchange_strong(expected, nullptr,
                                        std::memory_order_seq_cst))
         return empty_token; // withdrew cleanly
-      // A claimer won the race; its handoff completes imminently. The
-      // settle spins are bounded-then-yield: the claimer may be preempted
-      // between its CAS and got.store, and on a uniprocessor pure
-      // cpu_relax would burn the rest of our quantum before it runs.
-      settle([&] {
-        return self.got.load(std::memory_order_seq_cst) != empty_token;
-      });
+      // A claimer won the race; its handoff completes imminently.
     }
-    // Do not let this frame die before the claimer's final touch.
-    settle([&] { return self.slot.was_signalled(); });
+    // Do not let this frame die before the claimer's final touch. signal()
+    // follows its got store, so once it is observed got is visible too.
+    sync::settle([&self] { return self.slot.was_signalled(); });
     item_token g = self.got.load(std::memory_order_seq_cst);
     return is_data ? e : g;
   }
 
  private:
-  // Wait out a claimer that already owns us: spin briefly, then yield so a
-  // preempted claimer can reach its store/signal.
-  template <typename Done>
-  static void settle(Done done) {
-    for (int spins = 0; !done(); ++spins) {
-      if (spins < 64)
-        cpu_relax();
-      else
-        std::this_thread::yield();
-    }
-  }
-
   std::size_t live_slots() const noexcept {
     // Scale the probed region with available parallelism; a uniprocessor
     // probes one slot.

@@ -6,12 +6,13 @@
 // installs a node holding its item and waits; the second removes the node,
 // deposits its own item into it, and takes the first's. Under contention,
 // threads probe outward into a multi-slot arena so that CAS traffic spreads
-// across cache lines instead of piling onto one location.
+// across cache lines instead of piling onto one location; a waiter in an
+// outer slot moves back inward if nobody comes.
 //
 // Node lifetime: a node lives on its owner's stack. The claimer's final
-// touch is slot.signal(); the owner leaves only after observing it (the same
-// settle discipline as baselines/java5_sq.hpp), so no reclamation domain is
-// needed here.
+// touch is slot.signal(); the owner leaves only after observing it
+// (sync::settle, the same discipline as baselines/java5_sq.hpp), so no
+// reclamation domain is needed here.
 #pragma once
 
 #include <array>
@@ -81,14 +82,26 @@ class exchanger {
           bo.pause();
           continue;
         }
-        if (wait_for_partner(self, dl, tok)) return take(self);
+        // Only slot 0 waits out the caller's patience. Two waiters parked
+        // in different slots would otherwise wait for each other forever,
+        // so an outer-slot waiter gives up after a short spell and moves
+        // inward.
+        const bool outer = idx != 0;
+        deadline wait_dl = dl;
+        if (outer) {
+          deadline spell = deadline::in(outer_patience);
+          if (spell.when() < dl.when()) wait_dl = spell;
+        }
+        if (wait_for_partner(self, wait_dl, tok)) return take(self);
         // Timed out / interrupted: withdraw. If the withdrawal CAS fails, a
         // partner is mid-claim and will complete imminently.
         xnode *expected = &self;
         if (!slot.compare_exchange_strong(expected, nullptr,
-                                          std::memory_order_seq_cst)) {
-          settle_and_wait(self);
+                                          std::memory_order_seq_cst))
           return take(self);
+        if (outer && !dl.expired_now() && !(tok && tok->interrupted())) {
+          bound /= 2;
+          continue;
         }
         codec::dispose(self.mine);
         return std::nullopt;
@@ -112,6 +125,9 @@ class exchanger {
   }
 
  private:
+  // How long a waiter in an outer slot (index > 0) waits before moving in.
+  static constexpr nanoseconds outer_patience = std::chrono::microseconds(50);
+
   void grow(std::size_t &bound) noexcept {
     if (bound < ArenaSize) bound *= 2;
     if (bound > ArenaSize) bound = ArenaSize;
@@ -127,14 +143,10 @@ class exchanger {
     return r == sync::park_slot::wait_result::woken;
   }
 
-  static void settle_and_wait(xnode &self) noexcept {
-    while (self.got.load(std::memory_order_seq_cst) == empty_token)
-      cpu_relax();
-    while (!self.slot.was_signalled()) cpu_relax();
-  }
-
+  // Settle (see header): signal() follows the claimer's got store, so once
+  // it is observed the partner's offering is visible and the node is free.
   static T take(xnode &self) {
-    while (!self.slot.was_signalled()) cpu_relax(); // settle (see header)
+    sync::settle([&self] { return self.slot.was_signalled(); });
     return codec::decode_consume(self.got.load(std::memory_order_seq_cst));
   }
 

@@ -16,7 +16,7 @@
 //
 //   EMPTY ---> WAITER ----> MATCHED        (partner commits, signals)
 //     |          `--------> POISONED       (owner timeout/interrupt, or a
-//     |---> ASYNC ---> MATCHED              losing selector: owner retries)
+//     |                                     losing selector: owner retries)
 //     |---> RESERVED -> CLAIMED -> {MATCHED, POISONED}   (select protocol)
 //     `---> POISONED                        (now-op found nobody; the
 //                                            already-indexed peer retries)
@@ -43,7 +43,7 @@
 // -DSSQ_FORCE_SEQ_CST pins every site back to seq_cst for differential
 // testing. Labeled release/acquire edges in this file:
 //
-//   cell.publish  install CAS (EMPTY -> WAITER/ASYNC/RESERVED) publishes the
+//   cell.publish  install CAS (EMPTY -> WAITER/RESERVED) publishes the
 //                 cell's item and, for reservations, the selector's wait
 //                 record; acquired by the partner's first state read and by
 //                 the claim CAS.
@@ -93,10 +93,9 @@ namespace ssq {
 // states: the word holds the installing selector's seg_select_wait*.
 inline constexpr std::uintptr_t cell_empty = 0;
 inline constexpr std::uintptr_t cell_waiter = 1;
-inline constexpr std::uintptr_t cell_async = 2;
-inline constexpr std::uintptr_t cell_matched = 3;
-inline constexpr std::uintptr_t cell_poisoned = 4;
-inline constexpr std::uintptr_t cell_claimed = 5;
+inline constexpr std::uintptr_t cell_matched = 2;
+inline constexpr std::uintptr_t cell_poisoned = 3;
+inline constexpr std::uintptr_t cell_claimed = 4;
 inline constexpr std::uintptr_t cell_state_max = 7;
 
 struct alignas(cacheline_size) seg_cell {
@@ -186,8 +185,8 @@ class segment_queue {
   ~segment_queue() {
     rec_.unregister_root(&enq_cursor_.value);
     rec_.unregister_root(&deq_cursor_.value);
-    // Single-threaded teardown: free the still-linked suffix. Unconsumed
-    // sender tokens (async producers') go to the disposer; receiver-side
+    // Single-threaded teardown: free the still-linked suffix. A sender
+    // token left in a WAITER cell goes to the disposer; receiver-side
     // waiter cells hold empty_token and are skipped by the same test.
     seg_segment *s = head_seg_.value.load(std::memory_order_relaxed);
     while (s) {
@@ -196,8 +195,7 @@ class segment_queue {
         for (std::size_t i = 0; i < seg_cells; ++i) {
           std::uintptr_t st = s->cells[i].state.load(std::memory_order_relaxed);
           item_token it = s->cells[i].item.load(std::memory_order_relaxed);
-          if ((st == cell_waiter || st == cell_async) && it != empty_token)
-            disposer_(it);
+          if (st == cell_waiter && it != empty_token) disposer_(it);
         }
       }
       rec_.destroy(s);
@@ -216,7 +214,7 @@ class segment_queue {
                   deadline dl = deadline::unbounded(),
                   sync::interrupt_token *tok = nullptr) {
     SSQ_ASSERT(is_data == (e != empty_token), "token/mode mismatch");
-    SSQ_ASSERT(is_data || wk != wait_kind::async, "async take is meaningless");
+    SSQ_ASSERT(wk != wait_kind::async, "the segmented core has no async mode");
     typename Reclaimer::slot hz(rec_);
     for (;;) {
       if (wk == wait_kind::now && !counterpart_waiting(is_data))
@@ -275,7 +273,7 @@ class segment_queue {
         diag::bump(diag::id::cell_poison);
         SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
         live_.value.fetch_sub(1, SSQ_MO(relaxed));
-        contribute(w.seg, 1);
+        contribute(w.seg);
         return false;
       }
     }
@@ -291,7 +289,7 @@ class segment_queue {
                        "partner's item deposit before this read");
       w.result = c.item.load(SSQ_MO(relaxed));
     }
-    contribute(w.seg, 1);
+    contribute(w.seg);
     return matched;
   }
 
@@ -396,9 +394,9 @@ class segment_queue {
 
   // One party's share of a cell's retirement accounting. Must be this
   // party's last access to the cell/segment.
-  void contribute(seg_segment *s, unsigned n) {
+  void contribute(seg_segment *s) {
     SSQ_MO_RELEASE_EDGE("seg.retire");
-    if (s->done.fetch_add(n, SSQ_MO(release)) + n == seg_contribs)
+    if (s->done.fetch_add(1, SSQ_MO(release)) + 1 == seg_contribs)
       reap_head();
   }
 
@@ -459,7 +457,7 @@ class segment_queue {
           if (c.state.compare_exchange_strong(st, cell_poisoned,
                                               SSQ_MO(acq_rel))) {
             diag::bump(diag::id::cell_poison);
-            contribute(s, 1);
+            contribute(s);
             return cell_outcome::retry;
           }
           continue; // counterpart arrived after all; st reloaded
@@ -469,18 +467,6 @@ class segment_queue {
           c.item.store(e, SSQ_MO(relaxed));
         }
         SSQ_INTERLEAVE("sq.install");
-        if (wk == wait_kind::async) {
-          SSQ_CELL_TRANSITION(cell_empty, cell_async, "cell.publish");
-          SSQ_MO_RELEASE_EDGE("cell.publish");
-          if (c.state.compare_exchange_strong(st, cell_async,
-                                              SSQ_MO(acq_rel))) {
-            SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-            live_.value.fetch_add(1, SSQ_MO(relaxed));
-            out = e; // the matcher contributes both shares for async cells
-            return cell_outcome::transferred;
-          }
-          continue;
-        }
         SSQ_CELL_TRANSITION(cell_empty, cell_waiter, "cell.publish");
         SSQ_MO_RELEASE_EDGE("cell.publish");
         if (c.state.compare_exchange_strong(st, cell_waiter,
@@ -492,39 +478,32 @@ class segment_queue {
         continue;
       }
       if (st == cell_poisoned) {
-        contribute(s, 1);
+        contribute(s);
         return cell_outcome::retry;
       }
-      if (st == cell_waiter || st == cell_async) {
+      if (st == cell_waiter) {
         item_token got = e;
         if (is_data) {
           SSQ_MO_JUSTIFIED("relaxed: the cell.commit CAS below releases it");
           c.item.store(e, SSQ_MO(relaxed));
         } else {
           SSQ_MO_JUSTIFIED("relaxed: ordered by the cell.publish acquire "
-                           "that read WAITER/ASYNC");
+                           "that read WAITER");
           got = c.item.load(SSQ_MO(relaxed));
         }
-        std::uintptr_t ex = st;
         SSQ_INTERLEAVE("sq.match.cas");
         SSQ_CELL_TRANSITION(cell_waiter, cell_matched, "cell.commit");
-        SSQ_CELL_TRANSITION(cell_async, cell_matched, "cell.commit");
         SSQ_MO_RELEASE_EDGE("cell.commit");
-        if (c.state.compare_exchange_strong(ex, cell_matched,
+        if (c.state.compare_exchange_strong(st, cell_matched,
                                             SSQ_MO(acq_rel))) {
           SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
           live_.value.fetch_sub(1, SSQ_MO(relaxed));
-          if (st == cell_async) {
-            contribute(s, 2); // the absent owner's share is ours
-          } else {
-            c.slot.signal();
-            contribute(s, 1);
-          }
+          c.slot.signal();
+          contribute(s);
           out = got;
           return cell_outcome::transferred;
         }
-        st = ex; // waiter cancelled (or a losing selector poisoned it)
-        continue;
+        continue; // waiter cancelled (or a losing selector poisoned it)
       }
       if (st == cell_claimed) {
         // A cell's only parties are its two index-holders; CLAIMED is
@@ -550,7 +529,7 @@ class segment_queue {
     SSQ_MO_ACQUIRE_EDGE("cell.publish");
     if (!c.state.compare_exchange_strong(ex, cell_claimed, SSQ_MO(acq_rel))) {
       // The selector resolved the reservation first (poisoned it).
-      contribute(s, 1);
+      contribute(s);
       return cell_outcome::retry;
     }
     // From CLAIMED until our final-state store the selector spins in
@@ -577,7 +556,7 @@ class segment_queue {
       live_.value.fetch_sub(1, SSQ_MO(relaxed));
       arb->slot.signal();
       arb->pins.fetch_sub(1, std::memory_order_seq_cst);
-      contribute(s, 1);
+      contribute(s);
       out = got;
       return cell_outcome::transferred;
     }
@@ -592,7 +571,7 @@ class segment_queue {
     w->poisoned.store(true, std::memory_order_seq_cst);
     arb->slot.signal();
     arb->pins.fetch_sub(1, std::memory_order_seq_cst);
-    contribute(s, 1);
+    contribute(s);
     return cell_outcome::retry;
   }
 
@@ -623,7 +602,7 @@ class segment_queue {
         diag::bump(diag::id::cell_poison);
         SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
         live_.value.fetch_sub(1, SSQ_MO(relaxed));
-        contribute(s, 1);
+        contribute(s);
         out = empty_token;
         return cell_outcome::cancelled;
       }
@@ -634,14 +613,14 @@ class segment_queue {
     if (st == cell_poisoned) {
       // Foreign poison (a selector whose select went elsewhere): our claim
       // on a rendezvous is still open, retry at a fresh index.
-      contribute(s, 1);
+      contribute(s);
       return cell_outcome::retry;
     }
     SSQ_ASSERT(st == cell_matched, "waiter woke to a non-final cell state");
     SSQ_MO_JUSTIFIED("relaxed: the cell.commit acquire above ordered the "
                      "partner's item deposit before this read");
     out = is_data ? e : c.item.load(SSQ_MO(relaxed));
-    contribute(s, 1);
+    contribute(s);
     return cell_outcome::transferred;
   }
 
@@ -672,11 +651,11 @@ class segment_queue {
         continue;
       }
       if (st == cell_poisoned) {
-        contribute(s, 1);
+        contribute(s);
         return seg_reg_status::retry;
       }
-      if (st == cell_waiter || st == cell_async)
-        return arbitrate_waiter(s, c, st, w, e, is_data, dl, tok);
+      if (st == cell_waiter)
+        return arbitrate_waiter(s, c, w, e, is_data, dl, tok);
       if (st == cell_claimed) {
         SSQ_ASSERT(false, "segment_queue: selector observed CLAIMED");
         return seg_reg_status::retry;
@@ -687,13 +666,13 @@ class segment_queue {
 
   // A plain waiter already owns our cell: win our arbiter, then commit.
   seg_reg_status arbitrate_waiter(seg_segment *s, seg_cell &c,
-                                  std::uintptr_t st, seg_select_wait &w,
-                                  item_token e, bool is_data, deadline dl,
+                                  seg_select_wait &w, item_token e,
+                                  bool is_data, deadline dl,
                                   sync::interrupt_token *tok) {
     void *expect_w = nullptr;
     if (!w.arb->winner.compare_exchange_strong(expect_w, &w,
                                                std::memory_order_seq_cst)) {
-      resolve_lost_peer(s, c, st);
+      resolve_lost_peer(s, c);
       return seg_reg_status::lost;
     }
     item_token got = e;
@@ -702,28 +681,23 @@ class segment_queue {
       c.item.store(e, SSQ_MO(relaxed));
     } else {
       SSQ_MO_JUSTIFIED("relaxed: ordered by the cell.publish acquire that "
-                       "read WAITER/ASYNC");
+                       "read WAITER");
       got = c.item.load(SSQ_MO(relaxed));
     }
-    std::uintptr_t ex = st;
+    std::uintptr_t ex = cell_waiter;
     SSQ_CELL_TRANSITION(cell_waiter, cell_matched, "cell.commit");
-    SSQ_CELL_TRANSITION(cell_async, cell_matched, "cell.commit");
     SSQ_MO_RELEASE_EDGE("cell.commit");
     if (c.state.compare_exchange_strong(ex, cell_matched, SSQ_MO(acq_rel))) {
       SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
       live_.value.fetch_sub(1, SSQ_MO(relaxed));
-      if (st == cell_async) {
-        contribute(s, 2);
-      } else {
-        c.slot.signal();
-        contribute(s, 1);
-      }
+      c.slot.signal();
+      contribute(s);
       w.result = got;
       return seg_reg_status::completed;
     }
     // The waiter cancelled between arbitration and commit. The select is
     // already decided in our favor, so finish directly on this queue.
-    contribute(s, 1);
+    contribute(s);
     w.result = xfer(e, is_data,
                     dl.is_unbounded() ? wait_kind::sync : wait_kind::timed, dl,
                     tok);
@@ -732,29 +706,8 @@ class segment_queue {
 
   // Our select lost arbitration but this cell still owes its waiter a
   // resolution (our index is burned either way).
-  void resolve_lost_peer(seg_segment *s, seg_cell &c, std::uintptr_t st) {
-    if (st == cell_async) {
-      // An async producer's token cannot be dropped: take the cell over
-      // and hand the token back to the queue under a fresh index
-      // (FIFO-relaxed for that token; docs/algorithms.md).
-      SSQ_MO_JUSTIFIED("relaxed: ordered by the caller's cell.publish "
-                       "acquire that read ASYNC");
-      item_token got = c.item.load(SSQ_MO(relaxed));
-      std::uintptr_t ex = st;
-      SSQ_CELL_TRANSITION(cell_async, cell_matched, "cell.commit");
-      SSQ_MO_RELEASE_EDGE("cell.commit");
-      if (c.state.compare_exchange_strong(ex, cell_matched,
-                                          SSQ_MO(acq_rel))) {
-        SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-        live_.value.fetch_sub(1, SSQ_MO(relaxed));
-        contribute(s, 2);
-        xfer(got, true, wait_kind::async);
-      } else {
-        contribute(s, 1); // async cells never cancel; defensive only
-      }
-      return;
-    }
-    std::uintptr_t ex = st;
+  void resolve_lost_peer(seg_segment *s, seg_cell &c) {
+    std::uintptr_t ex = cell_waiter;
     SSQ_CELL_TRANSITION(cell_waiter, cell_poisoned, "cell.commit");
     SSQ_MO_RELEASE_EDGE("cell.commit");
     if (c.state.compare_exchange_strong(ex, cell_poisoned, SSQ_MO(acq_rel))) {
@@ -763,7 +716,7 @@ class segment_queue {
       live_.value.fetch_sub(1, SSQ_MO(relaxed));
       c.slot.signal(); // the waiter re-checks state and retries elsewhere
     }
-    contribute(s, 1);
+    contribute(s);
   }
 
   // Both parties of this cell are selects: claim the peer's record, then
@@ -779,7 +732,7 @@ class segment_queue {
     SSQ_MO_RELEASE_EDGE("cell.claim");
     SSQ_MO_ACQUIRE_EDGE("cell.publish");
     if (!c.state.compare_exchange_strong(ex, cell_claimed, SSQ_MO(acq_rel))) {
-      contribute(s, 1); // peer resolved it first (poisoned)
+      contribute(s); // peer resolved it first (poisoned)
       return seg_reg_status::retry;
     }
     seg_select_arbiter *parb = peer->arb;
@@ -811,7 +764,7 @@ class segment_queue {
       live_.value.fetch_sub(1, SSQ_MO(relaxed));
       parb->slot.signal();
       parb->pins.fetch_sub(1, std::memory_order_seq_cst);
-      contribute(s, 1);
+      contribute(s);
       w.result = got;
       return seg_reg_status::completed;
     }
@@ -835,7 +788,7 @@ class segment_queue {
     peer->poisoned.store(true, std::memory_order_seq_cst);
     parb->slot.signal();
     parb->pins.fetch_sub(1, std::memory_order_seq_cst);
-    contribute(s, 1);
+    contribute(s);
   }
 
   Reclaimer rec_;

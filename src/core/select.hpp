@@ -3,20 +3,17 @@
 // synchronous queues "constitute the central synchronization primitive of
 // Hoare's CSP").
 //
-// Semantics: try each alternative's non-blocking form (poll/offer) in a
-// randomized order; if none is ready, briefly camp on one alternative with
-// a bounded timed wait, then re-scan. The randomized start index prevents
-// starvation of later alternatives; the camping quantum bounds the latency
-// of discovering readiness on the others.
-//
 // Two alternation strategies, picked per pack at compile time:
 //
 //   * Linked cores get *polling* alternation: try each alternative's
-//     non-blocking form in randomized order, then camp on one with a
-//     bounded timed wait and re-scan. Two selects that meet only through
-//     their probes rendezvous within one camping quantum. A registering
-//     design over the linked dual structures would need a two-phase
-//     reservation protocol those algorithms do not provide.
+//     non-blocking form (poll/offer) in randomized order, then camp on one
+//     with a bounded timed wait (detail::camp_quantum) and re-scan. The
+//     randomized start prevents starvation of later alternatives; the
+//     quantum bounds the latency of discovering readiness on the others,
+//     and two selects that meet only through their probes rendezvous
+//     within one quantum. A registering design over the linked dual
+//     structures would need a two-phase reservation protocol those
+//     algorithms do not provide.
 //
 //   * Segmented cores (core_kind::segmented) *do* provide that protocol
 //     (RESERVED/CLAIMED cell states), so packs made entirely of segmented
@@ -41,17 +38,6 @@
 
 namespace ssq {
 
-// Must be exactly `nanoseconds` so the convenience overloads match the
-// (deadline, nanoseconds, Qs&...) signature rather than packing the quantum
-// into the queue parameter pack.
-inline constexpr nanoseconds select_default_quantum =
-    std::chrono::microseconds(200);
-
-// Constraint for the convenience overloads: everything in the pack must be
-// a channel, so a stray duration argument cannot be swallowed by the pack.
-template <typename Q>
-concept selectable_channel = requires(Q &q) { q.poll(); };
-
 // True for queues whose core supports reservation install (the segmented
 // core); such packs take the registering path below.
 template <typename Q>
@@ -64,6 +50,9 @@ concept registering_channel = requires { requires Q::segmented_core; };
 // a round ends (segment_queue.hpp).
 // ---------------------------------------------------------------------------
 namespace detail {
+
+// How long polling alternation camps on one alternative before re-scanning.
+inline constexpr nanoseconds camp_quantum = std::chrono::microseconds(200);
 
 // One registration round: install a reservation in every queue (the token
 // decides the side: empty = take, non-empty = put), wait for a winner,
@@ -206,12 +195,11 @@ std::optional<std::size_t> select_put_registered(T &v, deadline dl,
 // Returns {index, value}, or nullopt on deadline expiry.
 // ---------------------------------------------------------------------------
 template <typename T, typename... Qs>
-std::optional<std::pair<std::size_t, T>> select_take(
-    deadline dl, nanoseconds quantum, Qs &...queues) {
+std::optional<std::pair<std::size_t, T>> select_take(deadline dl,
+                                                     Qs &...queues) {
   constexpr std::size_t n = sizeof...(Qs);
   static_assert(n >= 1);
   if constexpr ((registering_channel<Qs> && ...)) {
-    (void)quantum; // reservations rendezvous instantly; no camping
     return detail::select_take_registered<T>(dl, queues...);
   } else {
   thread_local xoshiro256 rng{0x6a09e667f3bcc908ULL ^
@@ -241,19 +229,12 @@ std::optional<std::pair<std::size_t, T>> select_take(
     if (dl.expired_now()) return std::nullopt;
     // Camp on one alternative for a bounded quantum.
     std::size_t camp = static_cast<std::size_t>(rng.below(n));
-    deadline q_dl = deadline::in(quantum);
+    deadline q_dl = deadline::in(detail::camp_quantum);
     if (q_dl.when() > dl.when()) q_dl = dl;
     if (auto v = probes[camp].poll_until(probes[camp].q, q_dl))
       return std::make_pair(camp, std::move(*v));
   }
   }
-}
-
-template <typename T, typename... Qs>
-  requires(selectable_channel<Qs> && ...)
-std::optional<std::pair<std::size_t, T>> select_take(deadline dl,
-                                                     Qs &...queues) {
-  return select_take<T>(dl, select_default_quantum, queues...);
 }
 
 // ---------------------------------------------------------------------------
@@ -262,12 +243,10 @@ std::optional<std::pair<std::size_t, T>> select_take(deadline dl,
 // served, or nullopt on expiry (the value is handed back via `v`).
 // ---------------------------------------------------------------------------
 template <typename T, typename... Qs>
-std::optional<std::size_t> select_put(T &v, deadline dl, nanoseconds quantum,
-                                      Qs &...queues) {
+std::optional<std::size_t> select_put(T &v, deadline dl, Qs &...queues) {
   constexpr std::size_t n = sizeof...(Qs);
   static_assert(n >= 1);
   if constexpr ((registering_channel<Qs> && ...)) {
-    (void)quantum;
     return detail::select_put_registered(v, dl, queues...);
   } else {
   thread_local xoshiro256 rng{0xbb67ae8584caa73bULL ^
@@ -295,17 +274,11 @@ std::optional<std::size_t> select_put(T &v, deadline dl, nanoseconds quantum,
     }
     if (dl.expired_now()) return std::nullopt;
     std::size_t camp = static_cast<std::size_t>(rng.below(n));
-    deadline q_dl = deadline::in(quantum);
+    deadline q_dl = deadline::in(detail::camp_quantum);
     if (q_dl.when() > dl.when()) q_dl = dl;
     if (probes[camp].offer_until(probes[camp].q, v, q_dl)) return camp;
   }
   }
-}
-
-template <typename T, typename... Qs>
-  requires(selectable_channel<Qs> && ...)
-std::optional<std::size_t> select_put(T &v, deadline dl, Qs &...queues) {
-  return select_put(v, dl, select_default_quantum, queues...);
 }
 
 } // namespace ssq

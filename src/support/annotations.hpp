@@ -3,11 +3,9 @@
 // The reclamation and parking protocols in this library are *local*: every
 // rule ("this pointer must be covered by a hazard slot before it is
 // dereferenced", "this slot must not outlive its wait episode armed") can be
-// stated at the declaration it concerns. These macros state them. Under
-// Clang they compile to [[clang::annotate]] attributes so the LibTooling
-// frontend of ssq-lint can read them straight off the AST; under every other
-// compiler they vanish. The portable frontend of ssq-lint reads them
-// lexically, so the checks run even where no Clang is installed.
+// stated at the declaration it concerns. These macros state them. They
+// compile to nothing (or to a static_assert that only rejects an empty
+// argument); ssq-lint reads them lexically, so the checks need no Clang.
 //
 // Vocabulary (see docs/static_analysis.md for the full check semantics):
 //
@@ -82,11 +80,10 @@
 //     orders the transition (the third argument must match an
 //     SSQ_MO_*_EDGE label declared in the same file). ssq-lint validates
 //     the edge against the legal transition relation (EMPTY -> WAITER/
-//     ASYNC/RESERVED/POISONED, WAITER/ASYNC -> MATCHED, WAITER ->
-//     POISONED, RESERVED -> CLAIMED/POISONED, CLAIMED -> MATCHED/
-//     POISONED) and flags illegal edges (e.g. poison-after-match),
-//     unannotated mutations, and transitions whose ordering edge is
-//     missing or names no declared edge.
+//     RESERVED/POISONED, WAITER -> MATCHED/POISONED, RESERVED -> CLAIMED/
+//     POISONED, CLAIMED -> MATCHED/POISONED) and flags illegal edges
+//     (e.g. poison-after-match), unannotated mutations, and transitions
+//     whose ordering edge is missing or names no declared edge.
 //
 // Escape hatch (checked, never free): a comment of the form
 //     // ssq-lint: suppress(<check>) -- <justification>
@@ -95,11 +92,7 @@
 // diagnostic. Policy: docs/static_analysis.md §"Suppression policy".
 #pragma once
 
-#if defined(__clang__)
-#define SSQ_ANNOTATE(text) [[clang::annotate(text)]]
-#else
 #define SSQ_ANNOTATE(text)
-#endif
 
 #define SSQ_GUARDED_BY_HAZARD(domain) \
   SSQ_ANNOTATE("ssq::guarded_by_hazard:" #domain)
@@ -112,9 +105,6 @@
 
 // static_assert doubles as the non-emptiness check (sizeof("") == 1) and is
 // valid in both statement and class-member position under every compiler.
-// The assert messages are load-bearing: the SSQ_LINT_WITH_CLANG frontend
-// recounts these markers off StaticAssertDecl messages in the AST, so each
-// marker kind must keep a distinct message containing its macro name.
 #define SSQ_MO_JUSTIFIED(reason) \
   static_assert(sizeof(reason) > 1, "SSQ_MO_JUSTIFIED needs a justification")
 

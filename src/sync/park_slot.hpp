@@ -48,10 +48,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <thread>
 
 #include "check/schedule_fuzz.hpp"
 #include "support/annotations.hpp"
 #include "support/diagnostics.hpp"
+#include "support/relax.hpp"
 #include "sync/futex.hpp"
 #include "sync/interrupt.hpp"
 #include "sync/spin_policy.hpp"
@@ -250,6 +252,23 @@ park_slot::wait_result spin_then_park(park_slot &slot, DonePred done,
     if (r != park_slot::wait_result::woken) {
       slot.disarm();
       return r;
+    }
+  }
+}
+
+// Wait out a partner that has already committed to this thread and owes
+// one last touch of its stack node (typically a store, then signal()):
+// spin briefly, then yield. The partner may be preempted inside that
+// window, and pure spinning would burn the rest of our time slice -- on a
+// uniprocessor, all of it -- before the partner runs again.
+template <typename DonePred>
+void settle(DonePred done) noexcept {
+  for (int spins = 0; !done();) {
+    if (spins < 64) {
+      ++spins;
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
     }
   }
 }

@@ -1,8 +1,7 @@
 // Minimal mocks so the lint fixtures are self-contained, compilable C++
 // while exercising exactly the idioms ssq-lint models (Reclaimer::slot,
-// life_cycle arbitration, park_slot episodes). The fixtures feed the
-// portable frontend as plain source; compilability keeps them honest for
-// the LibTooling frontend as well.
+// life_cycle arbitration, park_slot episodes). ssq-lint reads the fixtures
+// as plain source; compilability keeps them honest C++.
 #pragma once
 
 #include <atomic>

@@ -34,15 +34,6 @@ event ev(std::uint32_t tid, op_role role, op_status st, std::uint64_t inv,
   return e;
 }
 
-// Same, with a lane attribution (lane-attributed histories, rule P4').
-event evl(std::uint32_t tid, op_role role, op_status st, std::uint64_t inv,
-          std::uint64_t ret, std::uint64_t given, std::uint64_t got,
-          std::uint32_t lane, wait_kind wk = wait_kind::timed) {
-  event e = ev(tid, role, st, inv, ret, given, got, wk);
-  e.lane = lane;
-  return e;
-}
-
 bool has_violation(const report &r, const char *needle) {
   for (const auto &v : r.violations)
     if (v.what.find(needle) != std::string::npos) return true;
@@ -177,98 +168,6 @@ TEST(Oracle, AcceptsFifoOrderForAsyncProducers) {
   r.fifo = true;
   report rep = check_history(h, r);
   EXPECT_TRUE(rep.ok()) << summarize(rep);
-}
-
-// ------------------------------------- per-lane FIFO (eliminating_sq, P4')
-
-TEST(Oracle, LanesAcceptCrossLaneInversionButNotGlobalFifo) {
-  // Two async producers on different lanes delivered out of global order:
-  // legal under the relaxed per-lane spec, a violation under strict FIFO.
-  std::vector<event> h{
-      evl(0, op_role::produce, op_status::ok, 1, 2, 7, 0, 0, wait_kind::async),
-      evl(0, op_role::produce, op_status::ok, 10, 11, 8, 0, 1,
-          wait_kind::async),
-      evl(1, op_role::consume, op_status::ok, 20, 30, 0, 8, 1),
-      evl(1, op_role::consume, op_status::ok, 50, 60, 0, 7, 0),
-  };
-  rules lanes;
-  lanes.fifo_lanes = true;
-  EXPECT_TRUE(check_history(h, lanes).ok()) << summarize(check_history(h, lanes));
-  rules strict;
-  strict.fifo = true;
-  EXPECT_TRUE(has_violation(check_history(h, strict), "FIFO"));
-}
-
-TEST(Oracle, LanesFlagSameLaneInversion) {
-  // The same inversion within ONE lane must still be caught.
-  std::vector<event> h{
-      evl(0, op_role::produce, op_status::ok, 1, 2, 7, 0, 3, wait_kind::async),
-      evl(0, op_role::produce, op_status::ok, 10, 11, 8, 0, 3,
-          wait_kind::async),
-      evl(1, op_role::consume, op_status::ok, 20, 30, 0, 8, 3),
-      evl(1, op_role::consume, op_status::ok, 50, 60, 0, 7, 3),
-  };
-  rules r;
-  r.fifo_lanes = true;
-  report rep = check_history(h, r);
-  EXPECT_TRUE(has_violation(rep, "FIFO")) << summarize(rep);
-  EXPECT_TRUE(has_violation(rep, "lane 3")) << summarize(rep);
-}
-
-TEST(Oracle, LanesFlagPairLaneMismatch) {
-  // Producer says lane 0, consumer says lane 1: the attribution itself is
-  // part of the relaxed contract.
-  std::vector<event> h{
-      evl(0, op_role::produce, op_status::ok, 1, 4, 7, 0, 0),
-      evl(1, op_role::consume, op_status::ok, 2, 3, 0, 7, 1),
-  };
-  rules r;
-  r.fifo_lanes = true;
-  report rep = check_history(h, r);
-  EXPECT_TRUE(has_violation(rep, "disagrees")) << summarize(rep);
-}
-
-TEST(Oracle, LanesFlagUnattributedPair) {
-  std::vector<event> h{
-      ev(0, op_role::produce, op_status::ok, 1, 4, 7, 0),
-      evl(1, op_role::consume, op_status::ok, 2, 3, 0, 7, 0),
-  };
-  rules r;
-  r.fifo_lanes = true;
-  report rep = check_history(h, r);
-  EXPECT_TRUE(has_violation(rep, "no lane attribution")) << summarize(rep);
-}
-
-TEST(Oracle, LanesExemptSentinelPairsFromFifo) {
-  // Elimination handoffs may overtake lane traffic; both sides carry the
-  // sentinel, so they are FIFO-exempt but still pairing-checked.
-  std::vector<event> h{
-      evl(0, op_role::produce, op_status::ok, 1, 2, 7, 0, 0,
-          wait_kind::async),
-      evl(0, op_role::produce, op_status::ok, 10, 11, 8, 0, lane_elim,
-          wait_kind::async),
-      evl(1, op_role::consume, op_status::ok, 20, 30, 0, 8, lane_elim),
-      evl(1, op_role::consume, op_status::ok, 50, 60, 0, 7, 0),
-      evl(2, op_role::produce, op_status::ok, 70, 90, 9, 0, lane_elim),
-      evl(3, op_role::consume, op_status::ok, 71, 89, 0, 9, lane_elim),
-  };
-  rules r;
-  r.fifo_lanes = true;
-  report rep = check_history(h, r);
-  EXPECT_TRUE(rep.ok()) << summarize(rep);
-}
-
-TEST(Oracle, LanesFlagAsymmetricSentinel) {
-  // One side claims an elimination handoff, the other a lane pairing: the
-  // exchange mechanisms must agree.
-  std::vector<event> h{
-      evl(0, op_role::produce, op_status::ok, 1, 4, 7, 0, lane_elim),
-      evl(1, op_role::consume, op_status::ok, 2, 3, 0, 7, 2),
-  };
-  rules r;
-  r.fifo_lanes = true;
-  report rep = check_history(h, r);
-  EXPECT_TRUE(has_violation(rep, "disagrees")) << summarize(rep);
 }
 
 // --------------------------------------------------------------- exchanger
@@ -460,12 +359,12 @@ TEST(Oracle, DumpHistoryWritesSortedReplayableLines) {
   char line[256];
   ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
   EXPECT_EQ(std::string(line),
-            "# tid role wk status invoke ret given got lane\n");
+            "# tid role wk status invoke ret given got\n");
   ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
   // Sorted by invoke stamp: the produce (invoke=1) comes first.
-  EXPECT_EQ(std::string(line), "0 produce timed ok 1 4 7 0 -\n");
+  EXPECT_EQ(std::string(line), "0 produce timed ok 1 4 7 0\n");
   ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
-  EXPECT_EQ(std::string(line), "1 consume timed ok 2 3 0 7 -\n");
+  EXPECT_EQ(std::string(line), "1 consume timed ok 2 3 0 7\n");
   std::fclose(f);
 }
 

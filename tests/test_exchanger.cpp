@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -71,6 +72,35 @@ TEST(Exchanger, SequentialRounds) {
     t.join();
     EXPECT_EQ(a.load(), round + 1000);
     EXPECT_EQ(b, round);
+  }
+}
+
+TEST(Exchanger, SimultaneousArrivalsPairUp) {
+  // Parties released together collide on slot 0 (a lost install or claim
+  // CAS); the loser grows its arena bound and may install in an outer slot.
+  // That waiter must move back inward, or two leftover parties can wait in
+  // different slots for each other until their patience runs out.
+  exchanger<int> ex;
+  const int n = 4;
+  for (int round = 0; round < 100; ++round) {
+    std::atomic<int> ready{0};
+    std::vector<std::optional<int>> got(n);
+    std::vector<std::thread> ts;
+    for (int i = 0; i < n; ++i)
+      ts.emplace_back([&, i] {
+        ready.fetch_add(1);
+        while (ready.load() < n) cpu_relax();
+        got[static_cast<std::size_t>(i)] =
+            ex.exchange_until(i, deadline::in(std::chrono::seconds(2)));
+      });
+    for (auto &t : ts) t.join();
+    std::multiset<int> all;
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(got[static_cast<std::size_t>(i)].has_value())
+          << "round " << round << ": party " << i << " never met a partner";
+      all.insert(*got[static_cast<std::size_t>(i)]);
+    }
+    for (int i = 0; i < n; ++i) EXPECT_EQ(all.count(i), 1u);
   }
 }
 

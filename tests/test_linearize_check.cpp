@@ -6,6 +6,7 @@
 // long-timed / async where the structure offers it).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <thread>
 
@@ -18,6 +19,7 @@
 #include "core/eliminating_sq.hpp"
 #include "core/exchanger.hpp"
 #include "core/linked_transfer_queue.hpp"
+#include "core/select.hpp"
 #include "core/synchronous_queue.hpp"
 
 using namespace ssq;
@@ -44,10 +46,7 @@ void expect_clean_run(std::shared_ptr<Q> q, bool fair, std::uint64_t seed,
   driver_stats st;
   run_mixed(ops, cfg, rec, &st);
   rules r;
-  // Lane-attributed impls promise FIFO per pairing lane, not globally
-  // (check/oracle.hpp P4').
-  r.fifo = fair && !ops.lanes;
-  r.fifo_lanes = fair && ops.lanes;
+  r.fifo = fair;
   report rep = check_history(rec.collect(), r);
   EXPECT_TRUE(rep.ok()) << summarize(rep);
   EXPECT_GT(rep.pairs, 0u) << "workload transferred nothing";
@@ -122,14 +121,6 @@ TEST(LinearizeCheck, Eliminating) {
                    108);
 }
 
-// The fair flavor: elimination handoffs may overtake the FIFO dual queue,
-// so the relaxed per-lane rule (core pairings = lane 0, arena = exempt)
-// is what keeps this checkable at all.
-TEST(LinearizeCheck, EliminatingFair) {
-  expect_clean_run(std::make_shared<fair_eliminating_sq<std::uint64_t>>(),
-                   true, 116);
-}
-
 // ------------------------------------------- elimination arena regression
 //
 // Satellite of the withdraw-vs-claim audit (core/elimination_arena.hpp):
@@ -158,6 +149,82 @@ TEST(LinearizeCheck, EliminationArenaWithdrawClaimFuzz) {
     run_mixed(ops, cfg, rec);
     report rep = check_history(rec.collect(), rules{});
     EXPECT_TRUE(rep.ok()) << "seed " << seed << "\n" << summarize(rep);
+#if defined(SSQ_SCHEDULE_FUZZ)
+    fuzz::disable();
+#endif
+  }
+}
+
+// ------------------------------------------- segmented registering select
+//
+// Registering select (core/select.hpp) over two segmented queues, mixed
+// with plain operations on each queue: every produce/consume picks one of
+// {select over both, queue a, queue b}, and plain ops use the wait kind
+// run_mixed picks (offer/poll for now, try_put/try_take for timed). That
+// reaches the reservation protocol from every side -- select_register,
+// arbitrate_waiter (a select meets a plain waiter), resolve_lost_peer (a
+// select that already won elsewhere poisons a plain waiter's cell) and
+// claim_reservation (a plain op meets a select) -- under the oracle.
+// Judged by P1-P3 only: a plain waiter whose cell a losing select poisoned
+// retries at a fresh index, so FIFO is not promised here.
+TEST(LinearizeCheck, SegmentedRegisteringSelect) {
+  using seg_q = segmented_synchronous_queue<std::uint64_t>;
+  for (std::uint64_t seed : {1301ull, 1302ull, 1303ull, 1304ull}) {
+#if defined(SSQ_SCHEDULE_FUZZ)
+    fuzz::config fc;
+    fc.seed = seed;
+    fuzz::enable(fc);
+#endif
+    auto a = std::make_shared<seg_q>();
+    auto b = std::make_shared<seg_q>();
+    std::atomic<std::uint64_t> selects_ok{0};
+    // 0 = select over both queues, 1 = queue a, 2 = queue b.
+    auto route = [seed] {
+      thread_local xoshiro256 rng{
+          seed ^ std::hash<std::thread::id>{}(std::this_thread::get_id())};
+      return rng.below(3);
+    };
+    checked_ops ops;
+    ops.produce = [&](std::uint64_t v, wait_kind wk, deadline dl) {
+      const deadline use = wk == wait_kind::now ? deadline::expired() : dl;
+      bool ok;
+      switch (route()) {
+        case 0:
+          ok = select_put(v, use, *a, *b).has_value();
+          if (ok) selects_ok.fetch_add(1, std::memory_order_relaxed);
+          break;
+        case 1: ok = a->try_put(v, use); break;
+        default: ok = b->try_put(v, use); break;
+      }
+      if (ok) return op_status::ok;
+      return wk == wait_kind::now ? op_status::miss : op_status::timeout;
+    };
+    ops.consume = [&](wait_kind wk, deadline dl)
+        -> std::pair<op_status, std::uint64_t> {
+      const deadline use = wk == wait_kind::now ? deadline::expired() : dl;
+      std::optional<std::uint64_t> got;
+      switch (route()) {
+        case 0:
+          if (auto r = select_take<std::uint64_t>(use, *a, *b)) {
+            got = r->second;
+            selects_ok.fetch_add(1, std::memory_order_relaxed);
+          }
+          break;
+        case 1: got = a->try_take(use); break;
+        default: got = b->try_take(use); break;
+      }
+      if (got) return {op_status::ok, *got};
+      return {wk == wait_kind::now ? op_status::miss : op_status::timeout, 0};
+    };
+    driver_cfg cfg = small_cfg(seed);
+    recorder rec(static_cast<std::size_t>(cfg.threads) + 1,
+                 cfg.max_ops_per_thread);
+    run_mixed(ops, cfg, rec);
+    report rep = check_history(rec.collect(), rules{});
+    EXPECT_TRUE(rep.ok()) << "seed " << seed << "\n" << summarize(rep);
+    EXPECT_GT(selects_ok.load(), 0u) << "seed " << seed;
+    EXPECT_TRUE(a->is_empty()) << "seed " << seed;
+    EXPECT_TRUE(b->is_empty()) << "seed " << seed;
 #if defined(SSQ_SCHEDULE_FUZZ)
     fuzz::disable();
 #endif

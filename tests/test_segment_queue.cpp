@@ -95,19 +95,6 @@ TEST(SegmentQueue, InterruptWakesWaiter) {
   firer.join();
 }
 
-// ------------------------------------------------------------ async producer
-
-TEST(SegmentQueue, AsyncProducerParksValueInCell) {
-  segment_queue<> core;
-  item_token t = item_codec<int>::encode(55);
-  EXPECT_NE(core.xfer(t, true, wait_kind::async), empty_token);
-  EXPECT_EQ(core.unsafe_length(), 1u);
-  item_token r = core.xfer(empty_token, false, wait_kind::now);
-  ASSERT_NE(r, empty_token);
-  EXPECT_EQ(item_codec<int>::decode_consume(r), 55);
-  EXPECT_TRUE(core.is_empty());
-}
-
 // --------------------------------------------------- segment churn / reaping
 
 TEST(SegmentQueue, SegmentsRetireUnderChurn) {

@@ -937,10 +937,9 @@ struct MoCheck {
 // (core/segment_queue.hpp). `cell_resv` stands for any installed
 // seg_select_wait* reservation pointer; the marker names it symbolically.
 const std::pair<const char *, const char *> kLegalCellEdges[] = {
-    {"cell_empty", "cell_waiter"},    {"cell_empty", "cell_async"},
-    {"cell_empty", "cell_resv"},      {"cell_empty", "cell_poisoned"},
-    {"cell_waiter", "cell_matched"},  {"cell_waiter", "cell_poisoned"},
-    {"cell_async", "cell_matched"},   {"cell_resv", "cell_claimed"},
+    {"cell_empty", "cell_waiter"},    {"cell_empty", "cell_resv"},
+    {"cell_empty", "cell_poisoned"},  {"cell_waiter", "cell_matched"},
+    {"cell_waiter", "cell_poisoned"}, {"cell_resv", "cell_claimed"},
     {"cell_resv", "cell_poisoned"},   {"cell_claimed", "cell_matched"},
     {"cell_claimed", "cell_poisoned"},
 };

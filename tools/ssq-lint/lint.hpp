@@ -5,13 +5,9 @@
 //
 //   source file --(frontend)--> FileModel --(checks.cpp)--> Diagnostics
 //
-// Two frontends build the same FileModel:
-//   * parse.cpp  -- the portable frontend: a C++ tokenizer plus a
-//     statement-structure parser specialized to this codebase's idioms.
-//     Builds anywhere, is what ctest runs, and what CI gates on.
-//   * clang_frontend.cpp -- the LibTooling frontend (SSQ_LINT_WITH_CLANG),
-//     driven off compile_commands.json; reads the [[clang::annotate]]
-//     attributes emitted by src/support/annotations.hpp.
+// The frontend (parse.cpp) is a C++ tokenizer plus a statement-structure
+// parser specialized to this codebase's idioms; it builds anywhere and is
+// what ctest runs and CI gates on.
 //
 // The checks (check ids are stable; fixtures and suppressions name them):
 //   hazard-coverage        deref of a pointer loaded from an
@@ -191,15 +187,5 @@ struct Diagnostic {
 
 // Run every check over a model.
 std::vector<Diagnostic> run_checks(const FileModel &model);
-
-#ifdef SSQ_LINT_WITH_CLANG
-// LibTooling frontend (clang_frontend.cpp): parse `files` with the real
-// Clang via compile_commands.json in `compile_db_dir` (fixed fallback flags
-// when empty/unloadable) and cross-check the AST's ssq:: annotate attributes
-// against the portable frontend's recovery. Emits `clang-parse` and
-// `frontend-drift` diagnostics.
-std::vector<Diagnostic> clang_cross_check(
-    const std::vector<std::string> &files, const std::string &compile_db_dir);
-#endif
 
 } // namespace ssqlint

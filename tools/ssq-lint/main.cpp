@@ -7,10 +7,6 @@
 //                   This is how the ctest fixtures assert behavior.
 //   --check=NAME    report only diagnostics of check NAME (all checks still
 //                   run; the filter applies to the output and exit status).
-//   -p DIR          compile-commands directory (consumed by the LibTooling
-//                   frontend when built with SSQ_LINT_WITH_CLANG; accepted
-//                   and ignored by the portable frontend so both spellings
-//                   work in CI).
 //
 // Output format: path:line: [check] message
 #include "lint.hpp"
@@ -82,7 +78,6 @@ std::vector<Expected> parse_expect(const std::string &text) {
 
 int main(int argc, char **argv) {
   std::string expect_path;
-  std::string compile_db_dir;
   std::string check_filter;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
@@ -91,12 +86,9 @@ int main(int argc, char **argv) {
       expect_path = a.substr(9);
     } else if (a.rfind("--check=", 0) == 0) {
       check_filter = a.substr(8);
-    } else if (a == "-p") {
-      if (i + 1 < argc) compile_db_dir = argv[++i];
     } else if (a == "--help" || a == "-h") {
       std::fprintf(stderr,
-                   "usage: ssq-lint [--expect=FILE] [--check=NAME] [-p DIR] "
-                   "<file>...\n");
+                   "usage: ssq-lint [--expect=FILE] [--check=NAME] <file>...\n");
       return 2;
     } else {
       files.push_back(a);

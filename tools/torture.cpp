@@ -18,10 +18,9 @@
 //   ./torture --impl=new-fair --threads=8 --seconds=30 --seed=42
 //             --check=linearize [--fuzz=1]
 //   impls: new-fair new-unfair seg-fair java5-fair java5-unfair naive
-//          eliminating elim-unfair elim-fair ltq exchanger channel
+//          eliminating elim-unfair ltq exchanger channel
 //   (exchanger and channel support --check=linearize only. "eliminating"
-//   is an alias for elim-unfair. The lane-attributed elim-fair is checked
-//   against the relaxed per-lane FIFO spec.)
+//   is an alias for elim-unfair.)
 //
 // --fuzz=1 turns on the schedule-perturbation points when the build compiled
 // them in (-DSSQ_SCHEDULE_FUZZ=ON); otherwise it warns and proceeds. The
@@ -131,9 +130,6 @@ impl_desc make_impl(const std::string &name) {
   if (name == "eliminating" || name == "elim-unfair")
     return make_impl_both(std::make_shared<eliminating_sq<std::uint64_t>>(),
                           false);
-  if (name == "elim-fair")
-    return make_impl_both(
-        std::make_shared<fair_eliminating_sq<std::uint64_t>>(), true);
   if (name == "ltq") {
     auto q = std::make_shared<linked_transfer_queue<std::uint64_t>>();
     impl_desc d;
@@ -340,10 +336,7 @@ int run_linearize(const std::string &impl, impl_desc &d, int nthreads,
   vit.join();
 
   check::rules r;
-  // Lane-attributed fair impls (the eliminating queue) promise FIFO
-  // per pairing lane, not globally (check/oracle.hpp P4').
-  r.fifo = d.fair && !d.checked.lanes;
-  r.fifo_lanes = d.fair && d.checked.lanes;
+  r.fifo = d.fair;
   r.require_all_consumed = true;
   auto events = rec.collect();
   check::report rep = check::check_history(events, r);
@@ -351,7 +344,7 @@ int run_linearize(const std::string &impl, impl_desc &d, int nthreads,
               "(fifo %s)\n",
               rep.ok() ? "PASS" : "FAIL", rep.events, rep.pairs,
               rep.cancelled, rep.violations.size(),
-              r.fifo ? "checked" : (r.fifo_lanes ? "per-lane" : "n/a"));
+              r.fifo ? "checked" : "n/a");
   if (!rep.ok()) {
     std::fprintf(stderr, "%s", check::summarize(rep).c_str());
     dump_failure(impl, seed, nthreads, seconds, fuzz, rep, std::move(events));
