@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/hanson_sq.hpp"
@@ -26,6 +27,7 @@
 #include "harness/runner.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
+#include "sync/spin_policy.hpp"
 
 namespace ssq::bench {
 
@@ -102,9 +104,11 @@ inline void emit(const harness::table &t, const std::string &csv_path,
 
 // Full-config form: CSV plus the optional --json series. The JSON header
 // records provenance: which memory-order mode the binary was compiled in
-// (annotations.hpp's SSQ_MO switch) and the source revision, so committed
-// BENCH_*.json snapshots are self-describing and bench_compare.py can
-// refuse to diff two runs of the same mode as if they were a differential.
+// (annotations.hpp's SSQ_MO switch), the source revision, and the host
+// record -- CPU count, build type and the adaptive spin policy the queues
+// ran with -- so committed BENCH_*.json snapshots are self-describing and
+// bench_compare.py can refuse to diff two runs of the same mode as if they
+// were a differential.
 inline void emit(harness::table &t, const sweep_config &cfg,
                  const char *title) {
   emit(t, cfg.csv, title);
@@ -115,6 +119,15 @@ inline void emit(harness::table &t, const sweep_config &cfg,
 #else
     t.set_meta("git_rev", "unknown");
 #endif
+    t.set_meta("hardware_concurrency",
+               std::to_string(std::thread::hardware_concurrency()));
+    t.set_meta("build_type", SSQ_BUILD_TYPE);
+    auto pol = sync::spin_policy::adaptive();
+    t.set_meta("spin_policy", "adaptive front=" +
+                                  std::to_string(pol.front_spins) +
+                                  " back=" + std::to_string(pol.back_spins) +
+                                  " yield_every=" +
+                                  std::to_string(pol.yield_every));
     if (t.write_json(cfg.json))
       std::printf("(json written to %s)\n", cfg.json.c_str());
   }

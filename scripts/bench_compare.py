@@ -2,7 +2,8 @@
 """Compare, merge, or parity-gate two bench JSON series.
 
 The bench harness (src/harness/table.cpp) writes
-    {"meta": {"memory_order": ..., "git_rev": ...},
+    {"meta": {"memory_order": ..., "git_rev": ..., "hardware_concurrency": ...,
+              "build_type": ..., "spin_policy": ...},
      "columns": [...], "rows": [{col: cell, ...}, ...]}
 and the memory-order differential (bench/ablation_memory_order.cpp) produces
 one such file per build mode. This script consumes pairs of them:

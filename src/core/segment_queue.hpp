@@ -585,11 +585,14 @@ class segment_queue {
       return c.state.load(SSQ_MO(acquire)) != cell_waiter;
     };
     auto &peer_ctr = is_data ? receivers_ : senders_;
+    // Next in line: the peer counter has reached our index, so the next
+    // counterpart's FAA lands on this cell. (`>` would hold only once that
+    // counterpart has already claimed it, when spinning no longer helps.)
     auto at_front = [&peer_ctr, idx] {
       SSQ_MO_JUSTIFIED(
           "relaxed: spin-depth heuristic only; a stale value merely changes "
           "how long we spin before parking");
-      return peer_ctr.value.load(SSQ_MO(relaxed)) > idx;
+      return peer_ctr.value.load(SSQ_MO(relaxed)) >= idx;
     };
     auto r = sync::spin_then_park(c.slot, done, at_front, pol_, dl, tok);
     if (r != sync::park_slot::wait_result::woken) {

@@ -110,6 +110,8 @@ seg_round_result seg_select_round(const std::array<seg_round_ops, n> &ops,
           return true;
       return false;
     };
+    // Always next in line: each round has one arbiter, so the first partner
+    // to commit on any registered cell completes this select.
     auto at_front = [] { return true; };
     (void)sync::spin_then_park(arb.slot, done, at_front,
                                sync::spin_policy::adaptive(), dl, nullptr);

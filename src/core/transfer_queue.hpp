@@ -354,6 +354,8 @@ class transfer_queue {
       SSQ_MO_ACQUIRE_EDGE("qnode.item");
       return s->item.load(SSQ_MO(acquire)) != e;
     };
+    // Next in line: we are the first node after the dummy head, so the next
+    // counterpart to arrive fulfills us (the JDK's `head.next == s`).
     auto at_front = [&] {
       typename Reclaimer::slot hz(rec_);
       qnode *h = hz.protect(head_.value);
@@ -433,14 +435,18 @@ class transfer_queue {
     typename Reclaimer::slot hz_h(rec_), hz_x(rec_), hz_t(rec_), hz_d(rec_),
         hz_e(rec_);
 
-    // Loop until s is out of the queue. Each iteration makes progress by
-    // popping a cancelled head, splicing s, or finishing a deferred splice;
-    // with a dead (frozen) predecessor the splice can never succeed, and
-    // the owner keeps shedding cancelled heads until the march of the head
-    // pointer removes s itself -- the JDK loop's behaviour, which the
-    // cancellation-storm workloads depend on for bounded garbage.
+    // Loop until s is out of the queue or can no longer be unlinked through
+    // pred. Each iteration makes progress by popping a cancelled head,
+    // splicing s, or finishing a deferred splice. The loop ends once pred's
+    // next is frozen (tagged): no splice through pred can succeed any more,
+    // and waiting for the head to march past s would spin until unrelated
+    // traffic arrives -- forever if clean_me_ holds the predecessor of a
+    // cancelled tail and the only other waiter is untimed. The JDK loop ends
+    // there too: advanceHead self-links a popped pred, and a casNext through
+    // a spliced-out one succeeds harmlessly. clean() then sheds the
+    // cancelled prefix, which keeps garbage bounded.
     while (!s->life.is_unlinked() &&
-           strip(pred->next.load(std::memory_order_seq_cst)) == s) {
+           pred->next.load(std::memory_order_seq_cst) == s) {
       qnode *h = hz_h.protect(head_.value);
       SSQ_MO_JUSTIFIED(
           "acquire: snapshot; the seq_cst head/next re-reads below validate "

@@ -527,7 +527,11 @@ class transfer_stack {
       return s->xword.load(SSQ_MO(acquire)) != empty_token;
     };
     auto at_front = [&] {
-      // Spin the long count when we are on top or covered by a fulfiller.
+      // Next in line: on top, the next counterpart pushes the fulfiller that
+      // matches us; under a fulfilling head, a match is already draining the
+      // stack toward us (the JDK's shouldSpin). The JDK's `h == null` clause
+      // is left out: a null head means our node was already popped, which
+      // happens only after its match, so `done()` already holds.
       typename Reclaimer::slot hz(rec_);
       snode *h = hz.protect(head_.value);
       return h == s || (h != nullptr && (h->mode & fulfilling));

@@ -119,6 +119,10 @@ class thread_pool_executor {
   std::size_t largest_pool_size() const noexcept {
     return largest_.load(std::memory_order_acquire);
   }
+  // Tasks that returned normally / that threw. A worker bumps these after
+  // the task body returns or unwinds, so a task's own side effects can be
+  // seen before its count. The counts are final once shutdown() and join()
+  // have returned.
   std::uint64_t completed_count() const noexcept {
     return completed_.load(std::memory_order_acquire);
   }

@@ -209,7 +209,10 @@ class park_slot {
 // until it holds, the deadline passes, or interruption is observed.
 //
 // `at_front` (nullary predicate) reports whether this waiter is next in line
-// for fulfillment; per the paper, only front waiters spin the long count.
+// for fulfillment (§3.3): the next counterpart to arrive will match this
+// waiter. It does not mean a counterpart has already committed to it -- by
+// then spinning no longer matters. Per the paper, only front waiters spin the
+// long count.
 //
 // Post-condition (episode hygiene): the slot is never left `armed` --
 // every exit path either observed a wake or explicitly disarms.

@@ -145,6 +145,8 @@ TEST(BoundedBuffer, WorksAsExecutorChannel) {
   std::atomic<int> done{0};
   for (int i = 0; i < 200; ++i) pool.submit([&] { done++; });
   while (done.load() < 200) std::this_thread::yield();
+  pool.shutdown();
+  pool.join();
   EXPECT_EQ(pool.completed_count(), 200u);
 }
 

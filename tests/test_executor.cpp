@@ -62,6 +62,8 @@ TYPED_TEST(ExecutorOverChannels, RunsAllTasks) {
   const int n = 400;
   for (int i = 0; i < n; ++i) ASSERT_TRUE(ex.submit([&] { done++; }));
   while (done.load() < n) std::this_thread::yield();
+  ex.shutdown();
+  ex.join();
   EXPECT_EQ(ex.completed_count(), static_cast<std::uint64_t>(n));
 }
 
@@ -127,6 +129,10 @@ TYPED_TEST(ExecutorOverChannels, ThrowingTaskDoesNotKillPool) {
   ex.submit([] { throw std::runtime_error("boom"); });
   for (int i = 0; i < 50; ++i) ex.submit([&] { done++; });
   while (done.load() < 50) std::this_thread::yield();
+  // The counts are bumped after each task body returns (or unwinds), so
+  // they are final only once every worker has exited.
+  ex.shutdown();
+  ex.join();
   EXPECT_EQ(ex.task_exception_count(), 1u);
   EXPECT_EQ(ex.completed_count(), 50u);
 }
@@ -183,5 +189,7 @@ TEST(Executor, ParallelSubmittersStress) {
     });
   for (auto &t : subs) t.join();
   while (done.load() < nsub * per) std::this_thread::yield();
+  ex.shutdown();
+  ex.join();
   EXPECT_EQ(ex.completed_count(), static_cast<std::uint64_t>(nsub * per));
 }

@@ -113,6 +113,40 @@ TEST(TransferQueue, CancelledTailIsDeferredThenCollected) {
   EXPECT_LE(q.unsafe_length(), 1u);
 }
 
+TEST(TransferQueue, CancelledWaiterReturnsWhenPredecessorIsFrozen) {
+  // Requests A, B, C link in that order. C cancels as the tail and defers
+  // its predecessor (B's node) through clean_me; that entry cannot be
+  // resolved while C stays the tail. A then cancels: its clean pops the
+  // dummy, which freezes A's predecessor, so A can no longer be spliced.
+  // A must still return at its deadline, not spin in clean() until B, an
+  // untimed taker, is served.
+  transfer_queue<> q;
+  std::atomic<bool> a_returned{false};
+  std::thread a([&] {
+    EXPECT_EQ(q.xfer(empty_token, false, wait_kind::timed,
+                     deadline::in(std::chrono::milliseconds(300))),
+              empty_token);
+    a_returned.store(true);
+  });
+  while (q.unsafe_length() < 1) std::this_thread::yield();
+  std::thread b([&] {
+    EXPECT_EQ(val_of(q.xfer(empty_token, false, wait_kind::sync)), 9);
+  });
+  while (q.unsafe_length() < 2) std::this_thread::yield();
+  EXPECT_EQ(q.xfer(empty_token, false, wait_kind::timed,
+                   deadline::in(std::chrono::milliseconds(1))),
+            empty_token);
+  auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (!a_returned.load() && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(a_returned.load())
+      << "a cancelled waiter spun in clean() past its deadline";
+  item_token nine = tok_of(9);
+  EXPECT_EQ(q.xfer(nine, true, wait_kind::sync), nine);
+  b.join();
+  a.join();
+}
+
 TEST(TransferQueue, OfferStormDoesNotAccumulateGarbage) {
   // Paper Pragmatics: "items offered at a very high rate, but with a very
   // low time-out patience" must not build up cancelled nodes.

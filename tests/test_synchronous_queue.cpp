@@ -171,6 +171,46 @@ TYPED_TEST(SyncQueueBoxed, MoveOnlyPayloadCompiles) {
   EXPECT_EQ(*v, 77);
 }
 
+// ------------------------------------------- spin when next in line (§3.3)
+
+// "Nodes next in line for fulfillment spin briefly ... before parking."
+// In a 1:1 request/reply ping-pong every waiter is next in line, and its
+// partner arrives within one round trip of the other queue, so nearly every
+// wait must end while spinning. A core whose `at_front` predicate misses
+// that waiter parks on about every transfer.
+template <typename Q>
+class NextInLineSpins : public ::testing::Test {};
+using AllCores = ::testing::Types<segmented_synchronous_queue<int>,
+                                  fair_synchronous_queue<int>,
+                                  unfair_synchronous_queue<int>>;
+TYPED_TEST_SUITE(NextInLineSpins, AllCores);
+
+TYPED_TEST(NextInLineSpins, PingPongRarelyParks) {
+  if (std::thread::hardware_concurrency() < 2)
+    GTEST_SKIP() << "spin_policy::adaptive() spins 0 on one CPU";
+  constexpr int warmup = 2000;
+  constexpr int round_trips = 24000;
+  TypeParam request, reply;
+  std::thread server([&] {
+    for (int i = 0; i < warmup + round_trips; ++i)
+      reply.put(request.take() + 1);
+  });
+  int wrong = 0;
+  auto round_trip = [&](int i) {
+    request.put(i);
+    if (reply.take() != i + 1) ++wrong;
+  };
+  for (int i = 0; i < warmup; ++i) round_trip(i);
+  auto before = diag::snapshot::take();
+  for (int i = warmup; i < warmup + round_trips; ++i) round_trip(i);
+  auto parks = (diag::snapshot::take() - before)[diag::id::park];
+  server.join();
+  EXPECT_EQ(wrong, 0);
+  double per_transfer = static_cast<double>(parks) / (2.0 * round_trips);
+  EXPECT_LT(per_transfer, 0.25)
+      << parks << " parks over " << 2 * round_trips << " transfers";
+}
+
 // ------------------------------------------------------- fairness (§2.2)
 
 TEST(Fairness, FairModeServesOldestRequestFirst) {
