@@ -107,7 +107,7 @@ class transfer_stack {
     const unsigned mode = is_data ? data_mode : req_mode;
 
     snode *s = nullptr;
-    typename Reclaimer::slot hz_h(rec_), hz_m(rec_), hz_n(rec_);
+    typename Reclaimer::slot hz_h(rec_), hz_m(rec_);
 
     for (;;) {
       snode *h = hz_h.protect(head_.value);
@@ -152,8 +152,10 @@ class transfer_stack {
           if (s->life.mark_released()) rec_retire(s);
           return empty_token;
         }
-        // Fulfilled: help the fulfiller pop the pair, then leave.
-        help_unlink_self(s, hz_h);
+        // Fulfilled. The fulfiller pops the pair before it returns (or a
+        // helper does), so we only give up our ownership and leave; see
+        // docs/algorithms.md §3 on why this port skips Listing 6's
+        // waiter-side pop (lines 13-15).
         if (s->life.mark_released()) rec_retire(s);
         return is_data ? e : x;
       } else if (!(h->mode & fulfilling)) {
@@ -237,7 +239,7 @@ class transfer_stack {
       } else {
         // ------------------------------ top is someone else's fulfiller:
         // help complete the annihilation, then retry our own operation.
-        help(h, hz_m, hz_n);
+        help(h, hz_m);
       }
     }
   }
@@ -473,28 +475,9 @@ class transfer_stack {
     }
   }
 
-  // After our own node s was matched: if the pair (fulfiller above us, us)
-  // is still at the top, complete the pop on the fulfiller's behalf.
-  void help_unlink_self(snode *s, typename Reclaimer::slot &hz_h) {
-    if (s->life.is_unlinked()) return;
-    snode *h = hz_h.protect(head_.value);
-    if (h == nullptr || h == s) return;
-    // h is protected; reading h->next is safe (strip: h may be dying).
-    SSQ_MO_JUSTIFIED(
-        "acquire: comparison-only read; the decisive ordering comes from "
-        "try_match/pop_pair's seq_cst operations");
-    if (strip(h->next.load(SSQ_MO(acquire))) != s) return;
-    // Route through try_match rather than popping directly: it verifies h
-    // really is the fulfiller we matched with, and completes h's xword if
-    // the matching thread is still between its two stores -- popping first
-    // would let h's owner mistake the pop for a retraction.
-    if (try_match(s, h)) pop_pair(h);
-  }
-
   // Help the fulfilling node h annihilate with its partner. Caller holds a
   // hazard on h (it was protected as head).
-  void help(snode *h, typename Reclaimer::slot &hz_m,
-            typename Reclaimer::slot &hz_n) {
+  void help(snode *h, typename Reclaimer::slot &hz_m) {
     auto [m, h_dying] = read_next(h, hz_m);
     if (h_dying || h->life.is_unlinked()) return; // pop already in flight
     if (m == nullptr) {
@@ -505,8 +488,8 @@ class transfer_stack {
       }
       return;
     }
-    (void)hz_n; // m is hazard-protected via hz_m; its successor is only
-                // ever used as a frozen pointer value inside the pops
+    // m is hazard-protected via hz_m; its successor is only ever used as a
+    // frozen pointer value inside the pops.
     if (try_match(m, h)) {
       pop_pair(h);
     } else {

@@ -207,6 +207,9 @@ void hazard_domain::release_record(record *rec) {
     orphans_->nodes.insert(orphans_->nodes.end(), rec->retired.begin(),
                            rec->retired.end());
     rec->retired.clear();
+    SSQ_MO_JUSTIFIED("relaxed: owner-written monitoring count; the release "
+                     "store of `active` below publishes it to an adopter");
+    rec->pending.store(0, std::memory_order_relaxed);
   }
   for (auto &s : rec->slots) {
     SSQ_MO_JUSTIFIED("release: a scanner reading null synchronizes with our "
@@ -248,8 +251,9 @@ void hazard_domain::retire(void *ptr, void (*deleter)(void *)) {
   record *rec = acquire_record();
   rec->retired.push_back({ptr, deleter});
   diag::bump(diag::id::node_retire);
-  SSQ_MO_JUSTIFIED("relaxed: monitoring counter, documented approximate");
-  retired_estimate_.fetch_add(1, std::memory_order_relaxed);
+  SSQ_MO_JUSTIFIED("relaxed: owner-written monitoring count, read racily by "
+                   "approx_retired()");
+  rec->pending.store(rec->retired.size(), std::memory_order_relaxed);
 
   // Amortized threshold: R >= H (total hazard slots) guarantees each scan
   // frees at least R - H nodes.
@@ -314,9 +318,25 @@ std::size_t hazard_domain::scan_with(record *rec) {
     }
   }
   rec->retired.swap(survivors);
-  SSQ_MO_JUSTIFIED("relaxed: monitoring counter, documented approximate");
-  retired_estimate_.fetch_sub(freed, std::memory_order_relaxed);
+  SSQ_MO_JUSTIFIED("relaxed: owner-written monitoring count, read racily by "
+                   "approx_retired()");
+  rec->pending.store(rec->retired.size(), std::memory_order_relaxed);
   return freed;
+}
+
+std::size_t hazard_domain::approx_retired() const noexcept {
+  std::size_t n = 0;
+  {
+    std::lock_guard<std::mutex> lk(orphans_->mu);
+    n = orphans_->nodes.size();
+  }
+  SSQ_MO_JUSTIFIED("acquire: list traversal; a record's next is immutable "
+                   "once the publishing acq_rel CAS links it");
+  for (record *r = head_.load(std::memory_order_acquire); r; r = r->next) {
+    SSQ_MO_JUSTIFIED("relaxed: monitoring count, documented approximate");
+    n += r->pending.load(std::memory_order_relaxed);
+  }
+  return n;
 }
 
 std::size_t hazard_domain::drain() {

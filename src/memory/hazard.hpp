@@ -58,6 +58,9 @@ class hazard_domain {
     std::atomic<const void *> slots[slots_per_record];
     std::atomic<bool> active{false};
     record *next = nullptr; // immutable once linked
+    // retired.size(), republished by the owner after every change so that
+    // approx_retired() can read it from any thread. Only the owner writes.
+    std::atomic<std::size_t> pending{0};
     // Owner-thread-only state:
     std::uint32_t used_mask = 0;
     std::vector<retired_node> retired;
@@ -137,11 +140,10 @@ class hazard_domain {
   // survive).
   std::size_t drain();
 
-  // Approximate count of not-yet-freed retirees across the domain.
-  std::size_t approx_retired() const noexcept {
-    SSQ_MO_JUSTIFIED("relaxed: monitoring counter, documented approximate");
-    return retired_estimate_.load(std::memory_order_relaxed);
-  }
+  // Count of not-yet-freed retirees across the domain: every record's
+  // pending count plus the orphans. Approximate while threads retire or
+  // scan; exact once they are quiescent.
+  std::size_t approx_retired() const noexcept;
 
   std::size_t record_count() const noexcept {
     SSQ_MO_JUSTIFIED("relaxed: scan-threshold heuristic, staleness benign");
@@ -167,7 +169,6 @@ class hazard_domain {
   const std::uint64_t uid_;
   std::atomic<record *> head_{nullptr};
   std::atomic<std::size_t> nrecords_{0};
-  std::atomic<std::size_t> retired_estimate_{0};
 
   // Retirees inherited from exited threads, guarded by a plain mutex that is
   // only touched at thread exit and during scans.

@@ -73,7 +73,7 @@ struct item_codec<T, std::enable_if_t<!is_inline_encodable_v<T>>> {
 
   static item_token encode(T v) {
     auto *b = new box{std::move(v)};
-    diag::counter(diag::id::box_alloc).fetch_add(1, std::memory_order_relaxed);
+    diag::bump(diag::id::box_alloc);
     return reinterpret_cast<item_token>(b);
   }
 
@@ -82,14 +82,14 @@ struct item_codec<T, std::enable_if_t<!is_inline_encodable_v<T>>> {
     auto *b = reinterpret_cast<box *>(t);
     T v = std::move(b->value);
     delete b;
-    diag::counter(diag::id::box_free).fetch_add(1, std::memory_order_relaxed);
+    diag::bump(diag::id::box_free);
     return v;
   }
 
   static void dispose(item_token t) {
     if (t == empty_token) return;
     delete reinterpret_cast<box *>(t);
-    diag::counter(diag::id::box_free).fetch_add(1, std::memory_order_relaxed);
+    diag::bump(diag::id::box_free);
   }
 
  private:

@@ -172,6 +172,34 @@ TEST(Hazard, GarbageIsBounded) {
   EXPECT_EQ(freed.load(), 100000);
 }
 
+TEST(Hazard, ApproxRetiredCountsEveryHolder) {
+  // Once the domain is quiescent the count is exact, wherever the retirees
+  // wait: in the calling thread's record or on the orphan list.
+  hazard_domain dom;
+  std::atomic<int> freed{0};
+  auto *pinned = new canary(&freed);
+  std::atomic<canary *> shared{pinned};
+  hazard_domain::hazard hz(dom);
+  hz.protect(shared);
+  dom.retire(pinned);
+  // 10 retires in all: under the 64-retire threshold, so nothing scans.
+  for (int i = 0; i < 9; ++i) dom.retire(new canary(&freed));
+  EXPECT_EQ(dom.approx_retired(), 10u);
+  dom.scan();
+  EXPECT_EQ(dom.approx_retired(), 1u) << "the pinned node is still pending";
+
+  std::thread t([&] {
+    for (int i = 0; i < 5; ++i) dom.retire(new canary(&freed));
+  });
+  t.join();
+  EXPECT_EQ(dom.approx_retired(), 6u) << "an exited thread's orphans count";
+
+  hz.clear();
+  dom.drain();
+  EXPECT_EQ(dom.approx_retired(), 0u);
+  EXPECT_EQ(freed.load(), 15);
+}
+
 TEST(Hazard, ConcurrentStress) {
   // Readers chase a shared pointer under hazard while writers swap and
   // retire; canaries must never be observed dead while protected.

@@ -2,6 +2,7 @@
 // diagnostics.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -239,4 +240,32 @@ TEST(Diag, CountersAreThreadSafe) {
     });
   for (auto &t : ts) t.join();
   EXPECT_EQ(diag::read(diag::id::spin_retry), 40000u);
+}
+
+TEST(Diag, ResetZeroesLiveThreadShards) {
+  // A live thread's counts take part in every read and every reset, and
+  // they survive the thread's exit.
+  constexpr auto which = diag::id::clean_unlink;
+  diag::reset_all();
+  std::atomic<int> step{0};
+  auto await_step = [&](int n) {
+    while (step.load() != n) std::this_thread::yield();
+  };
+  std::thread worker([&] {
+    diag::bump(which);
+    step.store(1);
+    await_step(2);
+    diag::bump(which);
+    step.store(3);
+    await_step(4);
+  });
+  await_step(1);
+  diag::reset_all();
+  EXPECT_EQ(diag::read(which), 0u);
+  step.store(2);
+  await_step(3);
+  EXPECT_EQ(diag::read(which), 1u);
+  step.store(4);
+  worker.join();
+  EXPECT_EQ(diag::read(which), 1u) << "an exited thread's count survives";
 }

@@ -217,14 +217,13 @@ int run_conserve(const ops_t &q, int nthreads, int seconds,
   for (int s = 0; s < seconds; ++s) {
     std::this_thread::sleep_for(std::chrono::seconds(1));
     std::printf("[%2d s] produced=%llu consumed=%llu timeouts=%llu "
-                "in-flight=%lld linked=%zu retired~%zu\n",
+                "in-flight=%lld retired~%zu\n",
                 s + 1,
                 static_cast<unsigned long long>(v.produced.load()),
                 static_cast<unsigned long long>(v.consumed.load()),
                 static_cast<unsigned long long>(v.timeouts.load()),
                 static_cast<long long>(v.produced.load()) -
                     static_cast<long long>(v.consumed.load()),
-                q.length(),
                 mem::hazard_domain::global().approx_retired());
     std::fflush(stdout);
   }
@@ -242,6 +241,8 @@ int run_conserve(const ops_t &q, int nthreads, int seconds,
     v.out_xor.fetch_xor(*got);
     v.consumed.fetch_add(1);
   }
+  // The traversal behind length() is only safe once the queue is quiescent.
+  std::printf("linked=%zu after drain\n", q.length());
 
   bool ok = v.in_sum.load() == v.out_sum.load() &&
             v.in_xor.load() == v.out_xor.load() &&
