@@ -25,18 +25,32 @@
 // cancellation linearization point -- O(1), no unlinking, no cleaning
 // passes. A party that finds its cell POISONED re-FAAs for a fresh index.
 //
-// Segment retirement: each cell owes two contributions, one per party,
-// made strictly after that party's last access to the cell. When a
-// segment's 128th contribution lands and it has a successor, the head is
-// advanced past it and the whole segment is retired through the reclaimer
-// seam -- one retire call per 64 transfers (ablation_segment measures the
-// ratio). head_id_ is a monotonic watermark: a traverser that published a
-// hazard on a next-pointer revalidates `head_id_ <= id(s)+1` before
-// trusting it, which is the M&S-style protect-validate step rebuilt for
-// chains whose unlink never touches the unlinked node. Bounded memory
-// (Aksenov et al., PAPERS.md; docs/memory_reclamation.md §8): live
-// segments are those holding at least one unfinalized cell, plus at most
-// one fully-done trailing segment, so resident bytes are O(live waiters).
+// Segment retirement: each cell owes two contributions (shares) to its
+// segment's `done` count. A party pays its own share strictly after its
+// last access to the cell, with one exception: whoever commits a plain
+// waiter (WAITER -> MATCHED) pays both shares, and the woken waiter pays
+// none. The waiter's remaining reads (state, item, its slot's disarm) are
+// covered instead by the hazard its xfer slot has held on the segment since
+// find_segment validated it, so a reaped segment is not freed under them.
+// Every other party pays 1, a selector included: its select_register
+// hazard is gone by the time it finalizes, so its owed share is what keeps
+// the segment linked until then. When a segment's 128th share lands and it
+// has a successor, the head is advanced past it and the whole segment is
+// retired through the reclaimer seam -- one retire call per 64 transfers
+// (ablation_segment measures the ratio). head_id_ is a monotonic
+// watermark: a traverser that published a hazard on a next-pointer
+// revalidates `head_id_ <= id(s)+1` before trusting it, which is the
+// M&S-style protect-validate step rebuilt for chains whose unlink never
+// touches the unlinked node. Bounded memory (Aksenov et al., PAPERS.md;
+// docs/memory_reclamation.md §8): live segments are those holding at least
+// one unfinalized cell, plus at most one fully-done trailing segment, plus
+// one hazard-pinned segment per matched waiter still reading its cell, so
+// resident bytes are O(live waiters).
+//
+// live_ (is_empty, unsafe_length) is written only by a cell's installer:
+// +1 when its CAS installs WAITER or a reservation, -1 when it leaves the
+// cell (await_match or select_finalize returns). It counts installed cells
+// whose owner has not left yet: racy by contract, exact at quiescence.
 //
 // Memory-order discipline (docs/memory_model.md; ssq-lint --check=mo-pairing
 // audits the edge table). Orders are spelled SSQ_MO(...) so that
@@ -57,7 +71,9 @@
 //                 construction; acquired by every next-pointer traversal.
 //   seg.retire    a party's `done` contribution releases its last cell
 //                 accesses; reap_head's `done` read acquires all 128 before
-//                 the segment is handed to the reclaimer.
+//                 the segment is handed to the reclaimer. A matched plain
+//                 waiter's reads are outside this chain: its hazard orders
+//                 them before the free.
 //   seg.cursor    cursor-advance CAS releases the traversal that found the
 //                 segment; the acquire side is the hazard-slot protect()
 //                 (memory/hazard.hpp), which is seq_cst by protocol.
@@ -115,10 +131,12 @@ struct seg_segment {
   static constexpr std::size_t cells_per_seg = 64;
   static constexpr unsigned contributions = 2 * cells_per_seg;
 
+  // id and next are read-mostly: every arrival's find_segment reads them.
+  // done is written by every contribution, so it gets a line of its own.
   const std::uint64_t id;
   SSQ_GUARDED_BY_HAZARD(rec_)
   std::atomic<seg_segment *> next{nullptr};
-  std::atomic<unsigned> done{0};
+  alignas(cacheline_size) std::atomic<unsigned> done{0};
   seg_cell cells[cells_per_seg];
 
   explicit seg_segment(std::uint64_t id_) noexcept : id(id_) {}
@@ -289,6 +307,8 @@ class segment_queue {
                        "partner's item deposit before this read");
       w.result = c.item.load(SSQ_MO(relaxed));
     }
+    SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
+    live_.value.fetch_sub(1, SSQ_MO(relaxed));
     contribute(w.seg);
     return matched;
   }
@@ -392,11 +412,12 @@ class segment_queue {
     }
   }
 
-  // One party's share of a cell's retirement accounting. Must be this
-  // party's last access to the cell/segment.
-  void contribute(seg_segment *s) {
+  // `n` shares of a cell's retirement accounting: 1 for the caller's own,
+  // 2 when the committer of a plain waiter pays the waiter's too. Must be
+  // the caller's last access to the cell/segment.
+  void contribute(seg_segment *s, unsigned n = 1) {
     SSQ_MO_RELEASE_EDGE("seg.retire");
-    if (s->done.fetch_add(1, SSQ_MO(release)) + 1 == seg_contribs)
+    if (s->done.fetch_add(n, SSQ_MO(release)) + n == seg_contribs)
       reap_head();
   }
 
@@ -473,7 +494,11 @@ class segment_queue {
                                             SSQ_MO(acq_rel))) {
           SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
           live_.value.fetch_add(1, SSQ_MO(relaxed));
-          return await_match(s, c, idx, e, is_data, dl, tok, out);
+          const cell_outcome r = await_match(s, c, idx, e, is_data, dl, tok,
+                                             out);
+          SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
+          live_.value.fetch_sub(1, SSQ_MO(relaxed));
+          return r;
         }
         continue;
       }
@@ -496,10 +521,8 @@ class segment_queue {
         SSQ_MO_RELEASE_EDGE("cell.commit");
         if (c.state.compare_exchange_strong(st, cell_matched,
                                             SSQ_MO(acq_rel))) {
-          SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-          live_.value.fetch_sub(1, SSQ_MO(relaxed));
           c.slot.signal();
-          contribute(s);
+          contribute(s, 2); // the waiter's share too: see the file comment
           out = got;
           return cell_outcome::transferred;
         }
@@ -552,8 +575,6 @@ class segment_queue {
       SSQ_CELL_TRANSITION(cell_claimed, cell_matched, "cell.commit");
       SSQ_MO_RELEASE_EDGE("cell.commit");
       c.state.store(cell_matched, SSQ_MO(release));
-      SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-      live_.value.fetch_sub(1, SSQ_MO(relaxed));
       arb->slot.signal();
       arb->pins.fetch_sub(1, std::memory_order_seq_cst);
       contribute(s);
@@ -566,8 +587,6 @@ class segment_queue {
     SSQ_MO_RELEASE_EDGE("cell.commit");
     c.state.store(cell_poisoned, SSQ_MO(release));
     diag::bump(diag::id::cell_poison);
-    SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-    live_.value.fetch_sub(1, SSQ_MO(relaxed));
     w->poisoned.store(true, std::memory_order_seq_cst);
     arb->slot.signal();
     arb->pins.fetch_sub(1, std::memory_order_seq_cst);
@@ -588,6 +607,8 @@ class segment_queue {
     // Next in line: the peer counter has reached our index, so the next
     // counterpart's FAA lands on this cell. (`>` would hold only once that
     // counterpart has already claimed it, when spinning no longer helps.)
+    // spin_then_park asks this only once the short spin has run out, so a
+    // handoff caught early never reads the partner's counter line.
     auto at_front = [&peer_ctr, idx] {
       SSQ_MO_JUSTIFIED(
           "relaxed: spin-depth heuristic only; a stale value merely changes "
@@ -603,14 +624,15 @@ class segment_queue {
       if (c.state.compare_exchange_strong(ex, cell_poisoned,
                                           SSQ_MO(acq_rel))) {
         diag::bump(diag::id::cell_poison);
-        SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-        live_.value.fetch_sub(1, SSQ_MO(relaxed));
         contribute(s);
         out = empty_token;
         return cell_outcome::cancelled;
       }
       // Lost the race to a concurrent finalizer; fall through to read it.
     }
+    // A committer may already have paid our share and reaped the segment;
+    // only our hazard keeps it from being freed under the reads below.
+    SSQ_INTERLEAVE("sq.woken");
     SSQ_MO_ACQUIRE_EDGE("cell.commit");
     std::uintptr_t st = c.state.load(SSQ_MO(acquire));
     if (st == cell_poisoned) {
@@ -623,7 +645,7 @@ class segment_queue {
     SSQ_MO_JUSTIFIED("relaxed: the cell.commit acquire above ordered the "
                      "partner's item deposit before this read");
     out = is_data ? e : c.item.load(SSQ_MO(relaxed));
-    contribute(s);
+    // No contribution: the committer paid both of this cell's shares.
     return cell_outcome::transferred;
   }
 
@@ -691,10 +713,8 @@ class segment_queue {
     SSQ_CELL_TRANSITION(cell_waiter, cell_matched, "cell.commit");
     SSQ_MO_RELEASE_EDGE("cell.commit");
     if (c.state.compare_exchange_strong(ex, cell_matched, SSQ_MO(acq_rel))) {
-      SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-      live_.value.fetch_sub(1, SSQ_MO(relaxed));
       c.slot.signal();
-      contribute(s);
+      contribute(s, 2); // the waiter's share too: see the file comment
       w.result = got;
       return seg_reg_status::completed;
     }
@@ -715,8 +735,6 @@ class segment_queue {
     SSQ_MO_RELEASE_EDGE("cell.commit");
     if (c.state.compare_exchange_strong(ex, cell_poisoned, SSQ_MO(acq_rel))) {
       diag::bump(diag::id::cell_poison);
-      SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-      live_.value.fetch_sub(1, SSQ_MO(relaxed));
       c.slot.signal(); // the waiter re-checks state and retries elsewhere
     }
     contribute(s);
@@ -763,8 +781,6 @@ class segment_queue {
       SSQ_CELL_TRANSITION(cell_claimed, cell_matched, "cell.commit");
       SSQ_MO_RELEASE_EDGE("cell.commit");
       c.state.store(cell_matched, SSQ_MO(release));
-      SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-      live_.value.fetch_sub(1, SSQ_MO(relaxed));
       parb->slot.signal();
       parb->pins.fetch_sub(1, std::memory_order_seq_cst);
       contribute(s);
@@ -786,8 +802,6 @@ class segment_queue {
     SSQ_MO_RELEASE_EDGE("cell.commit");
     c.state.store(cell_poisoned, SSQ_MO(release));
     diag::bump(diag::id::cell_poison);
-    SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-    live_.value.fetch_sub(1, SSQ_MO(relaxed));
     peer->poisoned.store(true, std::memory_order_seq_cst);
     parb->slot.signal();
     parb->pins.fetch_sub(1, std::memory_order_seq_cst);
@@ -807,7 +821,8 @@ class segment_queue {
   SSQ_GUARDED_BY_HAZARD(rec_) padded_atomic<void *> deq_cursor_;
   padded_atomic<std::uint64_t> senders_;
   padded_atomic<std::uint64_t> receivers_;
-  // Installed-and-unfinalized cells; observers only.
+  // Installed cells whose installer has not left yet; only the installer
+  // writes it (see the file comment). Observers only.
   padded_atomic<std::int64_t> live_;
 };
 

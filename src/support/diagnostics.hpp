@@ -25,7 +25,10 @@ namespace ssq::diag {
 
 enum class id : unsigned {
   node_alloc,   // dual-structure nodes constructed
-  node_free,    // dual-structure nodes actually deallocated
+  node_free,    // nodes and segments given up: bumped by a reclaimer's
+                // destroy(), and by transfer_queue, transfer_stack and
+                // segment_queue when they retire one -- not when the
+                // reclaimer later frees it
   node_retire,  // nodes handed to a reclamation domain
   box_alloc,    // item boxes from item_codec
   box_free,
@@ -36,7 +39,8 @@ enum class id : unsigned {
   spin_retry,   // spin-loop iterations before a park
   clean_call,   // transfer_queue/stack cancelled-node cleaning passes
   clean_unlink, // cancelled nodes successfully unlinked
-  cas_fail,     // head/tail/item CAS failures (contention indicator)
+  cas_fail,     // head/tail/item CAS failures (contention indicator);
+                // segment_queue never bumps it
   pool_recycle, // node_pool allocations served from magazine/ring/orphans
   pool_fresh,   // node_pool allocations that carved a fresh chunk
   seg_alloc,    // segment_queue: 64-cell segments allocated

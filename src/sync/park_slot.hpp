@@ -214,6 +214,13 @@ class park_slot {
 // then spinning no longer matters. Per the paper, only front waiters spin the
 // long count.
 //
+// Every waiter first spins the short count (`back_spins`). `at_front` is
+// asked once, when that count has passed without `done`; a waiter that is
+// next in line then goes on spinning to `front_spins` in total, any other
+// parks. A policy with `back_spins == 0` asks before its first spin. So a
+// handoff caught within the short spin never evaluates `at_front`, which
+// for the segmented core reads the partner's index counter.
+//
 // Post-condition (episode hygiene): the slot is never left `armed` --
 // every exit path either observed a wake or explicitly disarms.
 template <typename DonePred, typename FrontPred>
@@ -233,8 +240,10 @@ park_slot::wait_result spin_then_park(park_slot &slot, DonePred done,
       pol.relax(i);
     }
   }
-  int budget = at_front() ? pol.front_spins : pol.back_spins;
-  for (int i = 0; i < budget; ++i) {
+  int budget = pol.back_spins;
+  for (int i = 0;; ++i) {
+    if (i == pol.back_spins && at_front()) budget = pol.front_spins;
+    if (i >= budget) break;
     if (done()) return park_slot::wait_result::woken;
     if (tok && tok->interrupted()) return park_slot::wait_result::interrupted;
     if (!dl.is_unbounded() && dl.expired_now())

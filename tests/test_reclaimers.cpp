@@ -23,7 +23,13 @@ using Combos = ::testing::Types<
     synchronous_queue<int, true, mem::pooled_hp_reclaimer>,
     synchronous_queue<int, false, mem::pooled_hp_reclaimer>,
     synchronous_queue<int, true, mem::pooled_deferred_reclaimer>,
-    synchronous_queue<int, false, mem::pooled_deferred_reclaimer>>;
+    synchronous_queue<int, false, mem::pooled_deferred_reclaimer>,
+    // The segmented core with heap-backed segments: under ASan, a segment
+    // freed while a matched waiter still reads its cell is a use-after-free.
+    synchronous_queue<int, true, mem::hp_reclaimer, core_kind::segmented>,
+    synchronous_queue<int, true, mem::deferred_reclaimer, core_kind::segmented>,
+    synchronous_queue<int, true, mem::pooled_hp_reclaimer,
+                      core_kind::segmented>>;
 TYPED_TEST_SUITE(ReclaimerSweep, Combos);
 
 TYPED_TEST(ReclaimerSweep, PairHandoff) {

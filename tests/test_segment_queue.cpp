@@ -118,6 +118,71 @@ TEST(SegmentQueue, SegmentsRetireUnderChurn) {
   EXPECT_EQ(diag::read(diag::id::node_alloc), diag::read(diag::id::node_free));
 }
 
+TEST(SegmentQueue, EachSegmentRetiresOnceAfterItsLastCell) {
+  // Each cell's two shares must reach `done` exactly once: one share too
+  // many or too few keeps `done` off 128, and that segment (and every one
+  // behind it) never retires. 4 segments of 1:1 transfers and no cell is
+  // poisoned, so segments 0-2 each retire exactly once, when a later one
+  // completes at the latest. Segment 3 never gets a successor and stays.
+  // (With 3*64+1 transfers, segment 2 would retire only if the last
+  // transfer linked segment 3 before segment 2's last share landed: a race.)
+  diag::reset_all();
+  {
+    mem::hazard_domain dom;
+    seg_q q(sync::spin_policy::adaptive(), mem::pooled_hp_reclaimer{&dom});
+    const int n = 4 * static_cast<int>(segment_queue<>::seg_cells);
+    std::thread p([&] {
+      for (int i = 0; i < n; ++i) q.put(i);
+    });
+    for (int i = 0; i < n; ++i) EXPECT_EQ(q.take(), i);
+    p.join();
+    EXPECT_EQ(diag::read(diag::id::seg_retire), 3u);
+    EXPECT_EQ(diag::read(diag::id::cell_poison), 0u);
+    dom.drain();
+  }
+  EXPECT_EQ(diag::read(diag::id::node_alloc), diag::read(diag::id::node_free));
+}
+
+TEST(SegmentQueue, LiveCountsInstalledWaitersUntilTheyLeave) {
+  auto settle_at = [](const seg_q &q, std::size_t want) {
+    auto until = steady_clock::now() + std::chrono::seconds(30);
+    while (q.unsafe_length() != want && steady_clock::now() < until)
+      std::this_thread::yield();
+    return q.unsafe_length();
+  };
+  seg_q q;
+  // Two parked takers are two installed cells.
+  std::thread t1([&] { EXPECT_GE(q.take(), 1); });
+  std::thread t2([&] { EXPECT_GE(q.take(), 1); });
+  EXPECT_EQ(settle_at(q, 2), 2u);
+  q.put(1);
+  q.put(2);
+  t1.join();
+  t2.join();
+  EXPECT_EQ(q.unsafe_length(), 0u);
+  EXPECT_TRUE(q.is_empty());
+
+  // A timed take that expires leaves its cell too.
+  EXPECT_FALSE(q.try_take(std::chrono::milliseconds(5)).has_value());
+  EXPECT_EQ(q.unsafe_length(), 0u);
+
+  // A select_take installs a reservation on each queue and leaves both,
+  // the one it matched on and the one it poisons.
+  seg_q a, b;
+  std::thread sel([&] {
+    auto r = select_take<int>(deadline::in(std::chrono::seconds(30)), a, b);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->first, 1u);
+    EXPECT_EQ(r->second, 8);
+  });
+  EXPECT_EQ(settle_at(a, 1), 1u);
+  EXPECT_EQ(settle_at(b, 1), 1u);
+  b.put(8);
+  sel.join();
+  EXPECT_EQ(a.unsafe_length(), 0u);
+  EXPECT_EQ(b.unsafe_length(), 0u);
+}
+
 TEST(SegmentQueue, ManyThreadsConserveValues) {
   seg_q q;
   const int threads = 4, per = 2000;

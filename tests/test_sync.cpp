@@ -166,6 +166,58 @@ TEST(ParkSlot, ParkOnlyPolicyParksPromptly) {
   EXPECT_GE(diag::read(diag::id::park), 1u);
 }
 
+TEST(ParkSlot, SpinThenParkAsksAtFrontOnceTheBackBudgetRunsOut) {
+  // adaptive()'s multiprocessor budgets, spelled out so the test does not
+  // depend on the host's CPU count.
+  const spin_policy adaptive_mp{512, 32, 64};
+  struct outcome {
+    park_slot::wait_result r;
+    int front_calls;
+    std::uint64_t spins;
+  };
+  // `done` reads the slot's arming as the end of the wait, so every case
+  // stops right where it would park, without depending on timing.
+  auto run = [](spin_policy pol, bool front, int done_at) {
+    park_slot s;
+    int calls = 0, polls = 0;
+    auto before = diag::snapshot::take();
+    auto r = spin_then_park(
+        s, [&] { return polls++ == done_at || s.is_armed(); },
+        [&] {
+          ++calls;
+          return front;
+        },
+        pol, deadline::in(std::chrono::seconds(30)));
+    auto spins = (diag::snapshot::take() - before)[diag::id::spin_retry];
+    EXPECT_FALSE(s.is_armed());
+    return outcome{r, calls, spins};
+  };
+
+  // Caught within the short spin: the front probe never runs.
+  auto o = run(adaptive_mp, true, 3);
+  EXPECT_EQ(o.r, park_slot::wait_result::woken);
+  EXPECT_EQ(o.front_calls, 0);
+  EXPECT_EQ(o.spins, 3u);
+
+  // Not caught: one probe when the short budget runs out. A waiter behind
+  // the front parks after it; the front waiter spins the long budget.
+  o = run(adaptive_mp, false, -1);
+  EXPECT_EQ(o.front_calls, 1);
+  EXPECT_EQ(o.spins, 32u);
+  o = run(adaptive_mp, true, -1);
+  EXPECT_EQ(o.front_calls, 1);
+  EXPECT_EQ(o.spins, 512u);
+
+  // No short budget: the probe runs before the first spin, or a front
+  // waiter would never spin at all.
+  o = run(spin_policy{8, 0, 1}, true, -1);
+  EXPECT_EQ(o.front_calls, 1);
+  EXPECT_EQ(o.spins, 8u);
+  o = run(spin_policy{8, 0, 1}, false, -1);
+  EXPECT_EQ(o.front_calls, 1);
+  EXPECT_EQ(o.spins, 0u);
+}
+
 // ---------------------------------------------------------------- policy
 
 TEST(SpinPolicy, AdaptiveMatchesPaperOnUniprocessor) {
