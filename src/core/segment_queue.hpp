@@ -77,6 +77,9 @@
 //   seg.cursor    cursor-advance CAS releases the traversal that found the
 //                 segment; the acquire side is the hazard-slot protect()
 //                 (memory/hazard.hpp), which is seq_cst by protocol.
+//   seg.spare     the losing extender's CAS into spare_ publishes the
+//                 unused segment's construction; acquired by the next
+//                 extender's exchange, which re-stamps its id.
 //
 // Deliberately still seq_cst (the oracle's FIFO-pairing proof and the
 // reclamation protocol need a single total order over these):
@@ -133,7 +136,9 @@ struct seg_segment {
 
   // id and next are read-mostly: every arrival's find_segment reads them.
   // done is written by every contribution, so it gets a line of its own.
-  const std::uint64_t id;
+  // id is written only before the segment is linked: by the constructor,
+  // or when segment_queue's spare is taken for a new extension.
+  std::uint64_t id;
   SSQ_GUARDED_BY_HAZARD(rec_)
   std::atomic<seg_segment *> next{nullptr};
   alignas(cacheline_size) std::atomic<unsigned> done{0};
@@ -219,6 +224,8 @@ class segment_queue {
       rec_.destroy(s);
       s = nx;
     }
+    if (seg_segment *sp = spare_.load(std::memory_order_relaxed))
+      rec_.destroy(sp);
   }
 
   segment_queue(const segment_queue &) = delete;
@@ -368,13 +375,13 @@ class segment_queue {
       SSQ_MO_ACQUIRE_EDGE("seg.link");
       seg_segment *n = s->next.load(SSQ_MO(acquire));
       if (n == nullptr) {
-        seg_segment *fresh = rec_.template create<seg_segment>(sid + 1);
+        seg_segment *fresh = take_spare(sid + 1);
         SSQ_MO_RELEASE_EDGE("seg.link");
         if (s->next.compare_exchange_strong(n, fresh, SSQ_MO(acq_rel))) {
           diag::bump(diag::id::seg_alloc);
           n = fresh;
         } else {
-          rec_.destroy(fresh); // lost the install race; n holds the winner
+          keep_spare(fresh); // lost the install race; n holds the winner
         }
       }
       hz.set(n);
@@ -393,6 +400,24 @@ class segment_queue {
     }
     advance_cursor(cursor, s);
     return s;
+  }
+
+  // Both parties of a segment's first cell may extend the chain; the loser
+  // of the `next` CAS keeps its never-linked segment here for the next
+  // extension instead of freeing it. At most one spare per queue.
+  seg_segment *take_spare(std::uint64_t id) {
+    SSQ_MO_ACQUIRE_EDGE("seg.spare");
+    seg_segment *sp = spare_.exchange(nullptr, SSQ_MO(acquire));
+    if (sp == nullptr) return rec_.template create<seg_segment>(id);
+    sp->id = id;
+    return sp;
+  }
+
+  void keep_spare(seg_segment *s) {
+    seg_segment *expected = nullptr;
+    SSQ_MO_RELEASE_EDGE("seg.spare");
+    if (!spare_.compare_exchange_strong(expected, s, SSQ_MO(release)))
+      rec_.destroy(s); // a spare is already kept
   }
 
   void advance_cursor(padded_atomic<void *> &cursor, seg_segment *s) {
@@ -824,6 +849,9 @@ class segment_queue {
   // Installed cells whose installer has not left yet; only the installer
   // writes it (see the file comment). Observers only.
   padded_atomic<std::int64_t> live_;
+  // A never-linked segment for the next extension (take_spare); touched
+  // once per extension race, so it shares no line with the hot words.
+  std::atomic<seg_segment *> spare_{nullptr};
 };
 
 } // namespace ssq

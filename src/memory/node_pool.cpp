@@ -7,6 +7,16 @@
 
 #include "support/diagnostics.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+// A free block is poisoned; allocate() unpoisons the one it hands out.
+#define SSQ_POOL_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
+#define SSQ_POOL_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
+#else
+#define SSQ_POOL_POISON(p, n)
+#define SSQ_POOL_UNPOISON(p, n)
+#endif
+
 namespace ssq::mem {
 
 namespace {
@@ -78,13 +88,6 @@ struct node_pool::tl_cache {
   };
   // A thread rarely touches more than a couple of pools; linear scan wins.
   std::vector<entry> entries;
-
-  struct klass_ref {
-    std::size_t size;
-    std::size_t align;
-    node_pool *pool; // global pools only: never destroyed while threads run
-  };
-  std::vector<klass_ref> klasses;
 
   entry &get(node_pool *p) {
     for (auto it = entries.begin(); it != entries.end(); ++it) {
@@ -184,6 +187,7 @@ node_pool::~node_pool() {
   chunk *c = chunks_.load(std::memory_order_acquire);
   while (c) {
     chunk *next = c->next;
+    SSQ_POOL_UNPOISON(c, stride_ * (chunk_blocks_ + 1));
     ::operator delete(static_cast<void *>(c), std::align_val_t(align_));
     c = next;
   }
@@ -285,10 +289,12 @@ void *node_pool::carve_chunk(std::vector<void *> *mag) {
 
   for (std::size_t i = 1; i < chunk_blocks_; ++i) {
     void *b = raw + stride_ * i;
-    if (mag && mag->size() < magazine_cap_)
+    if (mag && mag->size() < magazine_cap_) {
+      SSQ_POOL_POISON(b, stride_);
       mag->push_back(b);
-    else
+    } else {
       deallocate_remote(b);
+    }
   }
   return raw + stride_ * chunk_blocks_;
 }
@@ -301,10 +307,12 @@ void *node_pool::allocate() {
       void *p = e.blocks.back(); // LIFO: the cache-warmest block
       e.blocks.pop_back();
       diag::bump(diag::id::pool_recycle);
+      SSQ_POOL_UNPOISON(p, stride_);
       return p;
     }
     if (void *p = refill(&e.blocks)) {
       diag::bump(diag::id::pool_recycle);
+      SSQ_POOL_UNPOISON(p, stride_);
       return p;
     }
     diag::bump(diag::id::pool_fresh);
@@ -313,6 +321,7 @@ void *node_pool::allocate() {
   // Thread-teardown fallback: no magazine to fill.
   if (void *p = refill(nullptr)) {
     diag::bump(diag::id::pool_recycle);
+    SSQ_POOL_UNPOISON(p, stride_);
     return p;
   }
   diag::bump(diag::id::pool_fresh);
@@ -334,10 +343,12 @@ void node_pool::deallocate(void *p) noexcept {
       e.blocks.pop_back();
     }
   }
+  SSQ_POOL_POISON(p, stride_);
   e.blocks.push_back(p);
 }
 
 void node_pool::deallocate_remote(void *p) noexcept {
+  SSQ_POOL_POISON(p, stride_);
   if (ring_push(p)) return;
   std::lock_guard<std::mutex> lk(orphans_->mu);
   orphans_->blocks.push_back(p);
@@ -370,10 +381,6 @@ std::size_t node_pool::magazine_size() const noexcept {
 // ---------------------------------------------------------------------------
 
 node_pool &node_pool::global_for(std::size_t size, std::size_t align) {
-  if (tl_cache *c = try_cache()) {
-    for (const auto &k : c->klasses)
-      if (k.size == size && k.align == align) return *k.pool;
-  }
   auto &reg = registry();
   node_pool *pool = nullptr;
   {
@@ -400,17 +407,7 @@ node_pool &node_pool::global_for(std::size_t size, std::size_t align) {
       reg.classes.push_back({size, align, pool});
     }
   }
-  if (tl_cache *c = try_cache()) c->klasses.push_back({size, align, pool});
   return *pool;
-}
-
-void node_pool::deallocate_global(std::size_t size, std::size_t align,
-                                  void *p) noexcept {
-  node_pool &pool = global_for(size, align);
-  if (try_cache())
-    pool.deallocate(p);
-  else
-    pool.deallocate_remote(p);
 }
 
 } // namespace ssq::mem

@@ -27,9 +27,17 @@
 //     cache-line-aligned slabs, so adjacent nodes handed to different
 //     thread pairs do not false-share their futex/park words. Chunk memory
 //     is owned by the pool and freed only at pool destruction; individual
-//     blocks are never returned to the heap, which is what makes a late
-//     "free" into an already-destroyed pool a safe no-op (see
-//     deallocate_global).
+//     blocks are never returned to the heap.
+//
+// Users: pooled_node_alloc (memory/reclaim.hpp) for dual-structure nodes
+// and segments, and item_codec (support/codec.hpp) for item boxes. Each
+// finds its global size-class pool once per type (global_pool_of).
+//
+// Under AddressSanitizer every block is poisoned while it sits free -- in a
+// magazine, the ring, the orphan list, or freshly carved -- so a stale
+// access to a recycled node or box is reported as use-after-poison instead
+// of passing as silent reuse. Poisoning cannot see an access that comes
+// after the block is handed out again (docs/memory_reclamation.md §7).
 //
 // Interaction with hazard pointers: a pooled node is returned to the pool
 // by the *reclaimer's deleter*, i.e. only after a hazard scan has proven no
@@ -97,14 +105,9 @@ class node_pool {
   // The process-wide pool for a (size, align) class. Created on first use
   // and kept alive through static teardown (late hazard-scan deleters may
   // still free into it); reachable from the registry, so leak checkers see
-  // it as live memory, not a leak.
+  // it as live memory, not a leak. Takes a mutex: callers look a class up
+  // once (global_pool_of), not per allocation.
   static node_pool &global_for(std::size_t size, std::size_t align);
-
-  // Free a block into the global pool of its size class. The slow path a
-  // reclaimer deleter can always take: works even when the calling thread's
-  // pool cache is already torn down.
-  static void deallocate_global(std::size_t size, std::size_t align,
-                                void *p) noexcept;
 
   // Per-thread magazine cache; defined in node_pool.cpp, public so the
   // thread_local instance can name it.
@@ -145,5 +148,17 @@ class node_pool {
   std::atomic<std::size_t> nchunks_{0};
   orphanage *orphans_;
 };
+
+// The global pool of T's (size, alignment) class, found once per T. Global
+// pools are immortal, so the reference stays valid through static teardown.
+// Blocks are cache-line aligned, or more if T asks for it, so two blocks
+// handed to different threads never share a line.
+template <typename T>
+node_pool &global_pool_of() {
+  constexpr std::size_t align =
+      alignof(T) > cacheline_size ? alignof(T) : cacheline_size;
+  static node_pool &p = node_pool::global_for(sizeof(T), align);
+  return p;
+}
 
 } // namespace ssq::mem

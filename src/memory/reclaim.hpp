@@ -142,15 +142,10 @@ struct heap_node_alloc {
 };
 
 // Thread-local node pools (memory/node_pool.hpp). Blocks are cache-line
-// aligned -- adjacent nodes handed to different thread pairs never share a
-// line for their futex/park words -- and recycle through per-thread
-// magazines instead of the heap.
+// aligned (global_pool_of) -- adjacent nodes handed to different thread
+// pairs never share a line for their futex/park words -- and recycle
+// through per-thread magazines instead of the heap.
 struct pooled_node_alloc {
-  template <typename Node>
-  static constexpr std::size_t block_align() noexcept {
-    return alignof(Node) > cacheline_size ? alignof(Node) : cacheline_size;
-  }
-
   template <typename Node>
   static node_pool &pool() {
     // Trivial destructibility lets a pool free its chunks wholesale at
@@ -158,7 +153,7 @@ struct pooled_node_alloc {
     // parked in magazines.
     static_assert(std::is_trivially_destructible_v<Node>,
                   "pooled nodes must be trivially destructible");
-    return node_pool::global_for(sizeof(Node), block_align<Node>());
+    return global_pool_of<Node>();
   }
 
   template <typename Node, typename... Args>
@@ -173,11 +168,10 @@ struct pooled_node_alloc {
 
   template <typename Node>
   static auto deleter() noexcept -> void (*)(void *) {
-    // Runs inside hazard scans -- possibly during static teardown, after
-    // this thread's pool cache is gone; deallocate_global handles both.
-    return [](void *p) {
-      node_pool::deallocate_global(sizeof(Node), block_align<Node>(), p);
-    };
+    // Runs inside hazard scans -- possibly during thread or static
+    // teardown, after this thread's pool cache is gone; deallocate then
+    // takes the remote path.
+    return [](void *p) { pool<Node>().deallocate(p); };
   }
 };
 

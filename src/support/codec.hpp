@@ -11,18 +11,24 @@
 //   * small trivially-copyable T: the value is stored inline, shifted left
 //     one bit with the low bit set, so the token is odd -- never zero and
 //     never an aligned node/box pointer;
-//   * everything else: the value is moved into a heap box and the (aligned,
-//     non-null) box pointer is the token. The consumer that decodes the
-//     token takes ownership of the box.
+//   * everything else: the value is moved into a pooled box and the
+//     (aligned, non-null) box pointer is the token. The consumer that
+//     decodes the token takes ownership of the box. Boxes come from the
+//     global node_pool of the box's size class (memory/node_pool.hpp), so
+//     a transfer pays no heap call: a box is allocated on the producer and
+//     freed on the consumer, which glibc's per-thread caches never recycle.
 //
 // A box pointer can never equal the containing node's own address (distinct
-// live allocations), so the cancelled-marker convention is preserved.
+// live blocks: a box and a node are never handed out from the same block at
+// the same time), so the cancelled-marker convention is preserved.
 #pragma once
 
 #include <cstdint>
+#include <new>
 #include <type_traits>
 #include <utility>
 
+#include "memory/node_pool.hpp"
 #include "support/config.hpp"
 #include "support/diagnostics.hpp"
 
@@ -66,13 +72,26 @@ struct item_codec<T, std::enable_if_t<is_inline_encodable_v<T>>> {
   static void dispose(item_token) noexcept {}
 };
 
-// Boxed encoding: token = pointer to a heap box owning the value.
+// Boxed encoding: token = pointer to a pooled box owning the value.
 template <typename T>
 struct item_codec<T, std::enable_if_t<!is_inline_encodable_v<T>>> {
   static constexpr bool boxed = true;
 
+  // The pool every box of this T comes from.
+  static mem::node_pool &pool() { return mem::global_pool_of<box>(); }
+
+  // If T's move constructor throws, the block goes back to the pool before
+  // the exception leaves.
   static item_token encode(T v) {
-    auto *b = new box{std::move(v)};
+    mem::node_pool &p = pool();
+    void *blk = p.allocate();
+    box *b;
+    try {
+      b = ::new (blk) box{std::move(v)};
+    } catch (...) {
+      p.deallocate(blk);
+      throw;
+    }
     diag::bump(diag::id::box_alloc);
     return reinterpret_cast<item_token>(b);
   }
@@ -81,21 +100,25 @@ struct item_codec<T, std::enable_if_t<!is_inline_encodable_v<T>>> {
     SSQ_ASSERT(t != empty_token && (t & 1u) == 0, "bad boxed token");
     auto *b = reinterpret_cast<box *>(t);
     T v = std::move(b->value);
-    delete b;
-    diag::bump(diag::id::box_free);
+    free_box(b);
     return v;
   }
 
   static void dispose(item_token t) {
     if (t == empty_token) return;
-    delete reinterpret_cast<box *>(t);
-    diag::bump(diag::id::box_free);
+    free_box(reinterpret_cast<box *>(t));
   }
 
  private:
   struct box {
     T value;
   };
+
+  static void free_box(box *b) noexcept {
+    b->~box();
+    pool().deallocate(b);
+    diag::bump(diag::id::box_free);
+  }
 };
 
 } // namespace ssq

@@ -41,7 +41,8 @@ enum class id : unsigned {
   clean_unlink, // cancelled nodes successfully unlinked
   cas_fail,     // head/tail/item CAS failures (contention indicator);
                 // segment_queue never bumps it
-  pool_recycle, // node_pool allocations served from magazine/ring/orphans
+  pool_recycle, // node_pool allocations served from magazine/ring/orphans:
+                // nodes, segments and item boxes alike
   pool_fresh,   // node_pool allocations that carved a fresh chunk
   seg_alloc,    // segment_queue: 64-cell segments allocated
   seg_retire,   // segment_queue: whole segments handed to the reclaimer

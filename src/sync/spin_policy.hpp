@@ -27,9 +27,11 @@ struct spin_policy {
   int yield_every = 8;
 
   // The library default: spin briefly on multiprocessors, not at all on a
-  // uniprocessor -- exactly the paper's policy.
+  // uniprocessor -- exactly the paper's policy. The CPU count is read once:
+  // hardware_concurrency() reads sysfs on glibc, microseconds per call, and
+  // every default constructor and registering select round calls this.
   static spin_policy adaptive() noexcept {
-    unsigned ncpu = std::thread::hardware_concurrency();
+    static const unsigned ncpu = std::thread::hardware_concurrency();
     if (ncpu <= 1) return spin_policy{0, 0, 1};
     return spin_policy{512, 32, 64};
   }

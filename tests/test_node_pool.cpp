@@ -141,17 +141,48 @@ TEST(NodePool, ThreadExitFlushesMagazinesForAdoption) {
   for (void *p : got) pool.deallocate(p);
 }
 
+namespace {
+struct node64 {
+  unsigned char bytes[64];
+};
+
+// Frees its block through the pooled deleter from a thread_local
+// destructor that runs after the thread's pool cache is torn down.
+struct late_free {
+  void *block = nullptr;
+  ~late_free() {
+    if (block) mem::pooled_node_alloc::deleter<node64>()(block);
+  }
+};
+} // namespace
+
 TEST(NodePool, GlobalPoolsAreSharedPerSizeClass) {
   node_pool &a = node_pool::global_for(64, 64);
   node_pool &b = node_pool::global_for(64, 64);
   node_pool &c = node_pool::global_for(128, 64);
   EXPECT_EQ(&a, &b);
   EXPECT_NE(&a, &c);
+  EXPECT_EQ(&mem::pooled_node_alloc::pool<node64>(), &a);
 
   void *p = a.allocate();
-  node_pool::deallocate_global(64, 64, p);
+  mem::pooled_node_alloc::deleter<node64>()(p);
   EXPECT_EQ(a.allocate(), p); // routed back into the same class, LIFO
   a.deallocate(p);
+}
+
+TEST(NodePool, DeleterWorksAfterTheThreadCacheIsGone) {
+  node_pool &a = mem::pooled_node_alloc::pool<node64>();
+  std::size_t shared_before = 0, flushed = 0;
+  std::thread t([&] {
+    thread_local late_free lf; // constructed before the pool cache
+    lf.block = a.allocate();
+    flushed = a.magazine_size();
+    shared_before = a.ring_size() + a.orphan_count();
+  });
+  t.join();
+  // At exit the cache flushes its magazine, then the late deleter takes
+  // the remote path: both land on the shared side.
+  EXPECT_EQ(a.ring_size() + a.orphan_count(), shared_before + flushed + 1);
 }
 
 TEST(NodePool, ThreadChurnManyShortLivedThreads) {

@@ -143,6 +143,32 @@ TEST(SegmentQueue, EachSegmentRetiresOnceAfterItsLastCell) {
   EXPECT_EQ(diag::read(diag::id::node_alloc), diag::read(diag::id::node_free));
 }
 
+TEST(SegmentQueue, LosingExtenderKeepsItsSegmentAsTheSpare) {
+  // Both parties of a segment's first cell may build the next segment. The
+  // loser of the link CAS keeps its copy as the queue's one spare for the
+  // next extension, so over 64 segments of 1:1 ping-pong every segment
+  // built is linked, save at most the spare.
+  diag::reset_all();
+  {
+    mem::hazard_domain dom;
+    seg_q q(sync::spin_policy::adaptive(), mem::pooled_hp_reclaimer{&dom});
+    const int n = 64 * static_cast<int>(segment_queue<>::seg_cells);
+    std::thread p([&] {
+      for (int i = 0; i < n; ++i) q.put(i);
+    });
+    bool in_order = true;
+    for (int i = 0; i < n; ++i) in_order &= q.take() == i;
+    p.join();
+    EXPECT_TRUE(in_order);
+    const std::uint64_t built = diag::read(diag::id::node_alloc);
+    const std::uint64_t linked = diag::read(diag::id::seg_alloc);
+    EXPECT_GE(linked, 64u);
+    EXPECT_LE(built - linked, 1u);
+    dom.drain();
+  }
+  EXPECT_EQ(diag::read(diag::id::node_alloc), diag::read(diag::id::node_free));
+}
+
 TEST(SegmentQueue, LiveCountsInstalledWaitersUntilTheyLeave) {
   auto settle_at = [](const seg_q &q, std::size_t want) {
     auto until = steady_clock::now() + std::chrono::seconds(30);

@@ -5,10 +5,12 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "memory/node_pool.hpp"
 #include "support/cacheline.hpp"
 #include "support/codec.hpp"
 #include "support/diagnostics.hpp"
@@ -98,6 +100,57 @@ TEST(Codec, DisposeFreesBox) {
 
 TEST(Codec, DisposeOfEmptyIsNoop) {
   item_codec<std::string>::dispose(empty_token); // must not crash
+}
+
+TEST(Codec, BoxesRecycleThroughThePool) {
+  // A box is a pool block: after the first round carves (at most) one
+  // chunk, every later encode reuses the block the previous decode freed.
+  using codec = item_codec<std::uint64_t>;
+  const std::uint64_t recycled = diag::read(diag::id::pool_recycle);
+  const std::uint64_t fresh = diag::read(diag::id::pool_fresh);
+  for (std::uint64_t i = 0; i < 1000; ++i)
+    ASSERT_EQ(codec::decode_consume(codec::encode(i)), i);
+  EXPECT_GE(diag::read(diag::id::pool_recycle) - recycled, 999u);
+  EXPECT_LE(diag::read(diag::id::pool_fresh) - fresh, 1u);
+}
+
+namespace {
+struct throwing_move {
+  std::uint64_t word[2] = {};
+  throwing_move() = default;
+  throwing_move(throwing_move &&) { throw std::runtime_error("move"); }
+};
+} // namespace
+
+TEST(Codec, ThrowingMoveReturnsItsBlock) {
+  using codec = item_codec<throwing_move>;
+  static_assert(codec::boxed);
+  mem::node_pool &pool = codec::pool();
+  pool.deallocate(pool.allocate()); // stock the magazine: no carve below
+  const std::size_t before = pool.magazine_size();
+  EXPECT_THROW(codec::encode(throwing_move{}), std::runtime_error);
+  EXPECT_EQ(pool.magazine_size(), before);
+}
+
+// Pool blocks are poisoned while free, so ASan still reports a read of a
+// box after its value was taken -- the bug class behind the double
+// delivery in docs/testing.md item 3.
+TEST(CodecDeathTest, StaleBoxReadIsUseAfterPoison) {
+#if defined(__SANITIZE_ADDRESS__)
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  using codec = item_codec<std::uint64_t>;
+  EXPECT_DEATH(
+      {
+        item_token t = codec::encode(42);
+        (void)codec::decode_consume(t);
+        volatile std::uint64_t stale =
+            *reinterpret_cast<volatile std::uint64_t *>(t);
+        (void)stale;
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "pool blocks are poisoned only under AddressSanitizer";
+#endif
 }
 
 TEST(Codec, DistinctValuesDistinctTokens) {

@@ -2,7 +2,9 @@
 // backoff, semaphore, monitor, fair lock, interruption.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -229,6 +231,24 @@ TEST(SpinPolicy, AdaptiveMatchesPaperOnUniprocessor) {
     EXPECT_GT(pol.front_spins, pol.back_spins)
         << "front-of-line waiters spin longer";
   }
+}
+
+TEST(SpinPolicy, AdaptiveReadsTheCpuCountOnce) {
+  // Reading the CPU count costs microseconds (sysfs on glibc), so 10^5
+  // calls that each read it take ~0.4 s; cached, they take well under a
+  // millisecond. The bound leaves room for sanitizer builds and a
+  // preempted attempt.
+  using clock = std::chrono::steady_clock;
+  double best_s = 1e9;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    int spins = 0;
+    const auto t0 = clock::now();
+    for (int i = 0; i < 100000; ++i) spins += spin_policy::adaptive().front_spins;
+    const std::chrono::duration<double> dt = clock::now() - t0;
+    EXPECT_EQ(spins, 100000 * spin_policy::adaptive().front_spins);
+    best_s = std::min(best_s, dt.count());
+  }
+  EXPECT_LT(best_s, 0.05);
 }
 
 TEST(SpinPolicy, SpinOnlyIsUnbounded) {
