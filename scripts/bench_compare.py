@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare, merge, or parity-gate two bench JSON series.
 
-The bench harness (src/harness/table.cpp) writes
+The bench harness (bench/harness/table.cpp) writes
     {"meta": {"memory_order": ..., "git_rev": ..., "hardware_concurrency": ...,
               "build_type": ..., "spin_policy": ...},
      "columns": [...], "rows": [{col: cell, ...}, ...]}

@@ -43,8 +43,4 @@ for b in "${BENCHES[@]}"; do
     | tee -a bench_output.txt
 done
 
-echo "== micro_primitives ==" | tee -a bench_output.txt
-"$BUILD_DIR/bench/micro_primitives" --benchmark_min_time=0.05 \
-  | tee -a bench_output.txt
-
 echo "done; tables in bench_output.txt, series in $OUT_DIR/"

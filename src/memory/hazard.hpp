@@ -20,7 +20,7 @@
 //    pins O(1) nodes per waiter (benign) and never blocks other threads'
 //    reclamation -- the property that makes HP, and not epoch-based
 //    reclamation, the right default for *blocking* dual data structures
-//    (see memory/epoch.hpp).
+//    (docs/memory_reclamation.md section 6).
 #pragma once
 
 #include <atomic>

@@ -19,9 +19,3 @@
 #include "core/synchronous_queue.hpp"
 #include "executor/pools.hpp"
 #include "executor/thread_pool_executor.hpp"
-#include "substrate/bounded_buffer.hpp"
-#include "substrate/dual_ds.hpp"
-#include "substrate/eb_stack.hpp"
-#include "substrate/ms_queue.hpp"
-#include "substrate/treiber_stack.hpp"
-#include "sync/queue_locks.hpp"

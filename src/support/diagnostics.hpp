@@ -33,7 +33,6 @@ enum class id : unsigned {
   box_alloc,    // item boxes from item_codec
   box_free,
   hp_scan,      // hazard-pointer domain scans
-  epoch_flush,  // epoch domain limbo-list flushes
   park,         // threads that actually blocked in the kernel
   unpark,       // futex wakes issued
   spin_retry,   // spin-loop iterations before a park

@@ -30,7 +30,7 @@
 // protocol already orders every signal() before the block can be reused
 // (the fulfiller holds a hazard on the node across the call); the
 // generation turns "relies on a protocol three files away" into a local
-// invariant, and makes slot reuse (bounded_buffer's ring, tests) safe by
+// invariant, and makes slot reuse (as in the ParkSlotEpisode tests) safe by
 // construction. spin_then_park() additionally disarms the slot on every
 // non-woken exit and on the done-flipped-after-prepare fast path, so a
 // finished episode never leaves `armed` behind: a late same-episode
@@ -177,8 +177,8 @@ class park_slot {
 
   // Rearm for another wait episode (the guarded-wait loop calls prepare()
   // each iteration, so an explicit reset is only needed when a slot is
-  // reused across logically distinct waits, e.g. bounded_buffer's ring
-  // cells). Bumps the episode generation: a straggling signal() from the
+  // reused across logically distinct waits, as the ParkSlotEpisode tests
+  // do). Bumps the episode generation: a straggling signal() from the
   // previous episode can no longer mark the new one signalled.
   void reset() noexcept {
     std::uint32_t w = state_.load(std::memory_order_seq_cst);

@@ -1,4 +1,4 @@
-// Tests for the reclamation layer: hazard pointers, epochs, life_cycle,
+// Tests for the reclamation layer: hazard pointers, life_cycle,
 // deferred reclaimer. These validate the guarantees the dual structures
 // lean on in place of Java's GC.
 #include <gtest/gtest.h>
@@ -8,13 +8,11 @@
 #include <thread>
 #include <vector>
 
-#include "memory/epoch.hpp"
 #include "memory/hazard.hpp"
 #include "memory/reclaim.hpp"
 #include "support/diagnostics.hpp"
 
 using namespace ssq;
-using mem::epoch_domain;
 using mem::hazard_domain;
 
 namespace {
@@ -233,98 +231,6 @@ TEST(Hazard, ConcurrentStress) {
   dom.retire(shared.load());
   dom.drain();
   EXPECT_EQ(freed.load(), 20001);
-}
-
-// ------------------------------------------------------------- epoch
-
-TEST(Epoch, RetireThenCollectFrees) {
-  epoch_domain dom;
-  std::atomic<int> freed{0};
-  {
-    epoch_domain::guard g(dom);
-    dom.retire(new canary(&freed));
-  }
-  dom.drain();
-  EXPECT_EQ(freed.load(), 1);
-}
-
-TEST(Epoch, PinnedThreadBlocksAdvance) {
-  epoch_domain dom;
-  std::atomic<int> freed{0};
-  std::atomic<bool> pinned{false}, release{false};
-
-  std::thread straggler([&] {
-    epoch_domain::guard g(dom);
-    pinned.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!pinned.load()) std::this_thread::yield();
-
-  std::uint64_t e0 = dom.global_epoch();
-  {
-    epoch_domain::guard g(dom);
-    dom.retire(new canary(&freed));
-  }
-  // The straggler pins e0; at most one advance can complete, and a node
-  // retired at >= e0 must not be freed.
-  for (int i = 0; i < 10; ++i) dom.collect();
-  EXPECT_LE(dom.global_epoch(), e0 + 1);
-  EXPECT_EQ(freed.load(), 0);
-
-  release.store(true);
-  straggler.join();
-  dom.drain();
-  EXPECT_EQ(freed.load(), 1);
-}
-
-TEST(Epoch, EpochAdvancesWhenQuiescent) {
-  epoch_domain dom;
-  std::uint64_t e0 = dom.global_epoch();
-  dom.collect();
-  dom.collect();
-  EXPECT_GT(dom.global_epoch(), e0);
-}
-
-TEST(Epoch, ManyRetiresAreEventuallyFreed) {
-  epoch_domain dom;
-  std::atomic<int> freed{0};
-  for (int i = 0; i < 10000; ++i) {
-    epoch_domain::guard g(dom);
-    dom.retire(new canary(&freed));
-  }
-  dom.drain();
-  EXPECT_EQ(freed.load(), 10000);
-}
-
-TEST(Epoch, ConcurrentPinUnpinStress) {
-  epoch_domain dom;
-  std::atomic<int> freed{0};
-  std::atomic<int> violations{0};
-  std::vector<std::thread> ts;
-  for (int t = 0; t < 4; ++t) {
-    ts.emplace_back([&] {
-      for (int i = 0; i < 5000; ++i) {
-        epoch_domain::guard g(dom);
-        auto *c = new canary(&freed);
-        if (!c->alive()) violations.fetch_add(1);
-        dom.retire(c);
-      }
-    });
-  }
-  for (auto &t : ts) t.join();
-  dom.drain();
-  EXPECT_EQ(violations.load(), 0);
-  EXPECT_EQ(freed.load(), 20000);
-}
-
-TEST(Epoch, DestructorFreesLeftovers) {
-  std::atomic<int> freed{0};
-  {
-    epoch_domain dom;
-    epoch_domain::guard g(dom);
-    for (int i = 0; i < 50; ++i) dom.retire(new canary(&freed));
-  }
-  EXPECT_EQ(freed.load(), 50);
 }
 
 // ------------------------------------------------------------- life_cycle
