@@ -19,14 +19,9 @@ using namespace ssq::bench;
 
 namespace {
 
-struct storm_result {
-  double offers_per_sec;
-  std::size_t peak_len;
-  std::size_t final_len;
-};
-
-storm_result run_storm(cleaning_policy cp, int producers,
-                       std::uint64_t offers_per_thread) {
+// One storm: offers/sec, peak and final linked-list length.
+std::vector<double> run_storm(cleaning_policy cp, int producers,
+                              std::uint64_t offers_per_thread) {
   transfer_queue<> q(sync::spin_policy::adaptive(), mem::pooled_hp_reclaimer{}, cp);
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> peak{0};
@@ -59,34 +54,28 @@ storm_result run_storm(cleaning_policy cp, int producers,
   stop.store(true, std::memory_order_release);
   watcher.join();
 
-  storm_result r;
-  r.offers_per_sec = static_cast<double>(offers_per_thread) * producers / secs;
-  r.peak_len = peak.load();
-  r.final_len = q.unsafe_length();
-  return r;
+  return {static_cast<double>(offers_per_thread) * producers / secs,
+          static_cast<double>(peak.load()),
+          static_cast<double>(q.unsafe_length())};
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  auto opt = harness::options::parse(argc, argv);
-  const int producers = static_cast<int>(opt.get_int("producers", 3));
-  std::uint64_t per =
-      static_cast<std::uint64_t>(opt.get_int("offers", opt.has("quick") ? 2000 : 10000));
-
-  auto real = run_storm(cleaning_policy::deferred_splice, producers, per);
-  auto strawman = run_storm(cleaning_policy::abandon, producers, per);
+  auto cfg = parse_sweep(argc, argv, {});
+  const int producers = static_cast<int>(cfg.opt.get_int("producers", 3));
+  std::uint64_t per = static_cast<std::uint64_t>(
+      cfg.opt.get_int("offers", cfg.opt.has("quick") ? 2000 : 10000));
 
   harness::table t(
       {"strategy", "offers/sec", "peak linked nodes", "final linked nodes"});
-  t.add_row({"deferred-splice (paper)",
-             harness::table::fmt(real.offers_per_sec, 0),
-             std::to_string(real.peak_len), std::to_string(real.final_len)});
-  t.add_row({"abandonment (strawman)",
-             harness::table::fmt(strawman.offers_per_sec, 0),
-             std::to_string(strawman.peak_len),
-             std::to_string(strawman.final_len)});
-  emit(t, opt.get("csv", "ablation_cleaning.csv"),
+  auto row = [&](const char *name, cleaning_policy cp) {
+    auto s = repeat(cfg, [&] { return run_storm(cp, producers, per); });
+    t.add_row({name, {s[0], 0}, {s[1], 0}, {s[2], 0}});
+  };
+  row("deferred-splice (paper)", cleaning_policy::deferred_splice);
+  row("abandonment (strawman)", cleaning_policy::abandon);
+  emit(t, cfg,
        "Ablation D: cancelled-node cleaning under a low-patience offer storm");
   std::printf("expectation: abandonment shows unbounded node buildup; the "
               "paper's strategy stays O(1)\n");

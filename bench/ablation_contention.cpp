@@ -19,47 +19,36 @@ using namespace ssq::bench;
 
 namespace {
 
-struct accounting {
-  double parks_per_transfer;
-  double unparks_per_transfer;
-  double cas_fails_per_transfer;
-};
-
+// Parks, unparks and failed CASes per transfer, each the median over reps.
 template <typename Q>
-accounting account(int pairs, const sweep_config &cfg) {
-  Q q;
-  auto before = diag::snapshot::take();
-  auto res = harness::run_handoff(q, pairs, pairs, cfg.ops);
-  if (!res.checksum_ok) std::exit(1);
-  auto d = diag::snapshot::take() - before;
-  double n = static_cast<double>(cfg.ops);
-  return {static_cast<double>(d[diag::id::park]) / n,
-          static_cast<double>(d[diag::id::unpark]) / n,
-          static_cast<double>(d[diag::id::cas_fail]) / n};
-}
-
-std::string fmt3(const accounting &a) {
-  return harness::table::fmt(a.parks_per_transfer, 2) + "/" +
-         harness::table::fmt(a.unparks_per_transfer, 2) + "/" +
-         harness::table::fmt(a.cas_fails_per_transfer, 2);
+std::string account(int pairs, const sweep_config &cfg) {
+  auto s = repeat(cfg, [&] {
+    Q q;
+    auto before = diag::snapshot::take();
+    handoff(q, pairs, pairs, cfg);
+    auto d = diag::snapshot::take() - before;
+    const double n = static_cast<double>(cfg.ops);
+    return std::vector{static_cast<double>(d[diag::id::park]) / n,
+                       static_cast<double>(d[diag::id::unpark]) / n,
+                       static_cast<double>(d[diag::id::cas_fail]) / n};
+  });
+  return harness::table::fmt(s[0].median, 2) + "/" +
+         harness::table::fmt(s[1].median, 2) + "/" +
+         harness::table::fmt(s[2].median, 2);
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  auto cfg = parse_sweep(argc, argv, {1, 2, 4}, "ablation_contention.csv");
+  auto cfg = parse_sweep(argc, argv, {1, 2, 4});
 
   std::printf("cell format: parks/unparks/failed-CASes per transfer\n");
   harness::table t({"pairs", "SynchronousQueue", "SynchronousQueue(fair)",
                     "HansonSQ", "NewSynchQueue", "NewSynchQueue(fair)"});
-  for (int n : cfg.levels) {
-    t.add_row({std::to_string(n), fmt3(account<java5_unfair_t>(n, cfg)),
-               fmt3(account<java5_fair_t>(n, cfg)),
-               fmt3(account<hanson_t>(n, cfg)),
-               fmt3(account<new_unfair_t>(n, cfg)),
-               fmt3(account<new_fair_t>(n, cfg))});
-    std::fflush(stdout);
-  }
-  emit(t, cfg.csv, "Contention accounting per transfer (N:N handoff)");
+  for (int n : cfg.levels)
+    t.add_row({std::to_string(n), account<java5_unfair_t>(n, cfg),
+               account<java5_fair_t>(n, cfg), account<hanson_t>(n, cfg),
+               account<new_unfair_t>(n, cfg), account<new_fair_t>(n, cfg)});
+  emit(t, cfg, "Contention accounting per transfer (N:N handoff)");
   return 0;
 }

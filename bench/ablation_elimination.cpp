@@ -13,7 +13,8 @@ using namespace ssq::bench;
 
 namespace {
 
-double measure_elim(int pairs, nanoseconds patience, const sweep_config &cfg) {
+harness::summary measure_elim(int pairs, nanoseconds patience,
+                              const sweep_config &cfg) {
   return measure([patience] { return eliminating_sq<payload>(patience); },
                  pairs, pairs, cfg);
 }
@@ -21,20 +22,14 @@ double measure_elim(int pairs, nanoseconds patience, const sweep_config &cfg) {
 } // namespace
 
 int main(int argc, char **argv) {
-  auto cfg = parse_sweep(argc, argv, {1, 2, 4, 8}, "ablation_elimination.csv");
+  auto cfg = parse_sweep(argc, argv, {1, 2, 4, 8});
 
   harness::table t({"pairs", "plain-unfair", "arena-5us", "arena-50us"});
-  for (int n : cfg.levels) {
-    t.add_row(
-        {std::to_string(n),
-         harness::table::fmt(measure<new_unfair_t>(n, n, cfg)),
-         harness::table::fmt(
-             measure_elim(n, std::chrono::microseconds(5), cfg)),
-         harness::table::fmt(
-             measure_elim(n, std::chrono::microseconds(50), cfg))});
-    std::fflush(stdout);
-  }
-  emit(t, cfg.csv,
+  for (int n : cfg.levels)
+    t.add_row({std::to_string(n), measure<new_unfair_t>(n, n, cfg),
+               measure_elim(n, std::chrono::microseconds(5), cfg),
+               measure_elim(n, std::chrono::microseconds(50), cfg)});
+  emit(t, cfg,
        "Ablation C: elimination-arena front end on the unfair queue, "
        "ns/transfer");
   return 0;

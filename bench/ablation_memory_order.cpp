@@ -29,21 +29,15 @@ using seg_fair_t = segmented_synchronous_queue<payload>;
 } // namespace
 
 int main(int argc, char **argv) {
-  auto cfg =
-      parse_sweep(argc, argv, {1, 2, 4, 8}, "ablation_memory_order.csv");
+  auto cfg = parse_sweep(argc, argv, {1, 2, 4, 8});
 
   std::printf("memory-order mode: %s\n", SSQ_MEMORY_ORDER_MODE);
 
   harness::table t(
       {"pairs", "unfair ns/x", "fair ns/x", "segmented ns/x"});
-  for (int n : cfg.levels) {
-    const double unfair = measure<new_unfair_t>(n, n, cfg);
-    const double fair = measure<new_fair_t>(n, n, cfg);
-    const double seg = measure<seg_fair_t>(n, n, cfg);
-    t.add_row({std::to_string(n), harness::table::fmt(unfair),
-               harness::table::fmt(fair), harness::table::fmt(seg)});
-    std::fflush(stdout);
-  }
+  for (int n : cfg.levels)
+    t.add_row({std::to_string(n), measure<new_unfair_t>(n, n, cfg),
+               measure<new_fair_t>(n, n, cfg), measure<seg_fair_t>(n, n, cfg)});
   emit(t, cfg,
        "Ablation H: labeled acquire/release vs forced seq_cst "
        "(" SSQ_MEMORY_ORDER_MODE ")");

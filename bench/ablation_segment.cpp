@@ -23,52 +23,38 @@ namespace {
 
 using seg_fair_t = segmented_synchronous_queue<payload>;
 
-struct cell_result {
-  double ns = 0;          // median ns/transfer
-  double retires = 0;     // retire calls per transfer (worst rep)
-};
-
+// Per rep: ns/transfer, and retire calls per transfer counted around the
+// queue's whole life, its destructor included.
 template <typename Q>
-cell_result measure_core(int pairs, const sweep_config &cfg) {
-  std::vector<double> samples;
-  cell_result out;
-  for (int r = 0; r < cfg.reps; ++r) {
+std::vector<harness::summary> measure_core(int pairs, const sweep_config &cfg) {
+  return repeat(cfg, [&] {
     const std::uint64_t r0 = diag::read(diag::id::node_retire);
+    double ns;
     {
       Q q;
-      auto res = harness::run_handoff(q, pairs, pairs, cfg.ops);
-      if (!res.checksum_ok) {
-        std::fprintf(stderr, "CHECKSUM FAILURE (pairs=%d)\n", pairs);
-        std::exit(1);
-      }
-      samples.push_back(res.ns_per_transfer);
+      ns = handoff(q, pairs, pairs, cfg);
     }
     const std::uint64_t r1 = diag::read(diag::id::node_retire);
-    const double per =
-        static_cast<double>(r1 - r0) / static_cast<double>(cfg.ops);
-    if (per > out.retires) out.retires = per;
-  }
-  out.ns = harness::summarize(samples).median;
-  return out;
+    return std::vector{ns, static_cast<double>(r1 - r0) /
+                               static_cast<double>(cfg.ops)};
+  });
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  auto cfg = parse_sweep(argc, argv, {1, 2, 4, 8}, "ablation_segment.csv");
+  auto cfg = parse_sweep(argc, argv, {1, 2, 4, 8});
 
   harness::table t({"pairs", "linked ns/x", "segmented ns/x",
                     "linked ret/x", "segmented ret/x", "retire reduction"});
   for (int n : cfg.levels) {
-    cell_result linked = measure_core<new_fair_t>(n, cfg);
-    cell_result seg = measure_core<seg_fair_t>(n, cfg);
-    const double reduction =
-        seg.retires > 0 ? linked.retires / seg.retires : 0.0;
-    t.add_row({std::to_string(n), harness::table::fmt(linked.ns),
-               harness::table::fmt(seg.ns), harness::table::fmt(linked.retires, 4),
-               harness::table::fmt(seg.retires, 4),
-               harness::table::fmt(reduction) + "x"});
-    std::fflush(stdout);
+    auto linked = measure_core<new_fair_t>(n, cfg);
+    auto seg = measure_core<seg_fair_t>(n, cfg);
+    // Retires per transfer: the worst rep.
+    const double lr = linked[1].max, sr = seg[1].max;
+    t.add_row({std::to_string(n), linked[0], seg[0],
+               harness::table::fmt(lr, 4), harness::table::fmt(sr, 4),
+               harness::table::fmt(sr > 0 ? lr / sr : 0.0) + "x"});
   }
   emit(t, cfg, "Ablation G: segmented vs linked fair core");
 

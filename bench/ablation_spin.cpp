@@ -14,8 +14,8 @@ using namespace ssq::bench;
 
 namespace {
 
-double measure_policy(sync::spin_policy pol, int pairs,
-                      const sweep_config &cfg) {
+harness::summary measure_policy(sync::spin_policy pol, int pairs,
+                                const sweep_config &cfg) {
   return measure([pol] { return synchronous_queue<payload, false>(pol); },
                  pairs, pairs, cfg);
 }
@@ -23,21 +23,15 @@ double measure_policy(sync::spin_policy pol, int pairs,
 } // namespace
 
 int main(int argc, char **argv) {
-  auto cfg = parse_sweep(argc, argv, {1, 2, 4, 8}, "ablation_spin.csv");
+  auto cfg = parse_sweep(argc, argv, {1, 2, 4, 8});
 
   harness::table t({"pairs", "park-only", "spin-then-park", "spin-only"});
-  for (int n : cfg.levels) {
-    t.add_row(
-        {std::to_string(n),
-         harness::table::fmt(
-             measure_policy(sync::spin_policy::park_only(), n, cfg)),
-         harness::table::fmt(
-             measure_policy(sync::spin_policy::adaptive(), n, cfg)),
-         harness::table::fmt(
-             measure_policy(sync::spin_policy::spin_only(), n, cfg))});
-    std::fflush(stdout);
-  }
-  emit(t, cfg.csv,
+  for (int n : cfg.levels)
+    t.add_row({std::to_string(n),
+               measure_policy(sync::spin_policy::park_only(), n, cfg),
+               measure_policy(sync::spin_policy::adaptive(), n, cfg),
+               measure_policy(sync::spin_policy::spin_only(), n, cfg)});
+  emit(t, cfg,
        "Ablation A: waiting policy on the unfair queue, ns/transfer");
   std::printf("hardware_concurrency=%u (paper: spinning helps only on "
               "multiprocessors)\n",

@@ -8,21 +8,16 @@ using namespace ssq;
 using namespace ssq::bench;
 
 int main(int argc, char **argv) {
-  auto cfg = parse_sweep(argc, argv, {1, 2, 3, 5, 8, 12, 18, 27},
-                         "fig4_single_producer.csv");
+  auto cfg = parse_sweep(argc, argv, {1, 2, 3, 5, 8, 12, 18, 27});
 
   harness::table t({"consumers", "SynchronousQueue", "SynchronousQueue(fair)",
                     "HansonSQ", "NewSynchQueue", "NewSynchQueue(fair)"});
-  for (int n : cfg.levels) {
-    t.add_row({std::to_string(n),
-               harness::table::fmt(measure<java5_unfair_t>(1, n, cfg)),
-               harness::table::fmt(measure<java5_fair_t>(1, n, cfg)),
-               harness::table::fmt(measure<hanson_t>(1, n, cfg)),
-               harness::table::fmt(measure<new_unfair_t>(1, n, cfg)),
-               harness::table::fmt(measure<new_fair_t>(1, n, cfg))});
-    std::fflush(stdout);
-  }
-  emit(t, cfg.csv,
+  for (int n : cfg.levels)
+    t.add_row({std::to_string(n), measure<java5_unfair_t>(1, n, cfg),
+               measure<java5_fair_t>(1, n, cfg), measure<hanson_t>(1, n, cfg),
+               measure<new_unfair_t>(1, n, cfg),
+               measure<new_fair_t>(1, n, cfg)});
+  emit(t, cfg,
        "Figure 4: single producer, N consumers, ns/transfer");
   return 0;
 }

@@ -15,9 +15,8 @@ using namespace ssq::bench;
 namespace {
 
 template <typename Channel>
-double measure_executor(int submitters, const sweep_config &cfg) {
-  std::vector<double> samples;
-  for (int r = 0; r < cfg.reps; ++r) {
+harness::summary measure_executor(int submitters, const sweep_config &cfg) {
+  return repeat(cfg, [&] {
     thread_pool_executor<Channel> ex(
         {0, 1u << 20, std::chrono::milliseconds(500)});
     std::atomic<std::uint64_t> done{0};
@@ -40,9 +39,8 @@ double measure_executor(int submitters, const sweep_config &cfg) {
     secs += std::chrono::duration<double>(steady_clock::now() - t0).count();
     ex.shutdown();
     ex.join();
-    samples.push_back(secs * 1e9 / static_cast<double>(total));
-  }
-  return harness::summarize(samples).median;
+    return std::vector{secs * 1e9 / static_cast<double>(total)};
+  })[0];
 }
 
 } // namespace
@@ -51,7 +49,7 @@ int main(int argc, char **argv) {
   // Executor tasks cost far more than bare handoffs (spawns, keep-alive
   // churn); a smaller default op count keeps the stock sweep to minutes.
   auto cfg = parse_sweep(argc, argv, {1, 2, 3, 4, 6, 8, 12, 16},
-                         "fig6_executor.csv", /*default_ops=*/1500);
+                         /*default_ops=*/1500);
 
   using ch_j5u = java5_sq<unique_task, false>;
   using ch_j5f = java5_sq<unique_task, true>;
@@ -60,14 +58,11 @@ int main(int argc, char **argv) {
 
   harness::table t({"threads", "SynchronousQueue", "SynchronousQueue(fair)",
                     "NewSynchQueue", "NewSynchQueue(fair)"});
-  for (int n : cfg.levels) {
-    t.add_row({std::to_string(n),
-               harness::table::fmt(measure_executor<ch_j5u>(n, cfg)),
-               harness::table::fmt(measure_executor<ch_j5f>(n, cfg)),
-               harness::table::fmt(measure_executor<ch_newu>(n, cfg)),
-               harness::table::fmt(measure_executor<ch_newf>(n, cfg))});
-    std::fflush(stdout);
-  }
-  emit(t, cfg.csv, "Figure 6: CachedThreadPool, ns/task (N submitters)");
+  for (int n : cfg.levels)
+    t.add_row({std::to_string(n), measure_executor<ch_j5u>(n, cfg),
+               measure_executor<ch_j5f>(n, cfg),
+               measure_executor<ch_newu>(n, cfg),
+               measure_executor<ch_newf>(n, cfg)});
+  emit(t, cfg, "Figure 6: CachedThreadPool, ns/task (N submitters)");
   return 0;
 }

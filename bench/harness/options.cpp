@@ -1,21 +1,19 @@
 #include "harness/options.hpp"
 
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
 
 namespace ssq::harness {
 
 options options::parse(int argc, char **argv) {
   options o;
   for (int i = 1; i < argc; ++i) {
-    const char *a = argv[i];
-    if (std::strncmp(a, "--", 2) != 0) continue;
-    const char *eq = std::strchr(a + 2, '=');
-    if (eq) {
-      o.kv_[std::string(a + 2, eq)] = std::string(eq + 1);
-    } else {
-      o.kv_[std::string(a + 2)] = "1"; // bare flag
-    }
+    std::string_view a = argv[i];
+    if (a.substr(0, 2) != "--") continue;
+    a.remove_prefix(2);
+    const auto eq = a.find('=');
+    o.kv_[std::string(a.substr(0, eq))] =
+        eq == a.npos ? "1" : std::string(a.substr(eq + 1)); // "1": bare flag
   }
   return o;
 }

@@ -1,7 +1,6 @@
 #include "harness/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace ssq::harness {
 
@@ -9,17 +8,11 @@ summary summarize(std::vector<double> samples) {
   summary s;
   s.n = samples.size();
   if (samples.empty()) return s;
-  std::sort(samples.begin(), samples.end());
+  s.q1 = percentile(samples, 0.25); // sorts
+  s.median = percentile(samples, 0.5);
+  s.q3 = percentile(samples, 0.75);
   s.min = samples.front();
   s.max = samples.back();
-  s.median = (s.n % 2) ? samples[s.n / 2]
-                       : 0.5 * (samples[s.n / 2 - 1] + samples[s.n / 2]);
-  double sum = 0;
-  for (double v : samples) sum += v;
-  s.mean = sum / static_cast<double>(s.n);
-  double var = 0;
-  for (double v : samples) var += (v - s.mean) * (v - s.mean);
-  s.stddev = s.n > 1 ? std::sqrt(var / static_cast<double>(s.n - 1)) : 0.0;
   return s;
 }
 

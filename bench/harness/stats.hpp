@@ -7,11 +7,11 @@
 namespace ssq::harness {
 
 struct summary {
-  double mean = 0;
-  double stddev = 0;
+  double median = 0;
+  double q1 = 0; // first quartile
+  double q3 = 0; // third quartile
   double min = 0;
   double max = 0;
-  double median = 0;
   std::size_t n = 0;
 };
 

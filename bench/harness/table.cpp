@@ -9,7 +9,7 @@ namespace ssq::harness {
 
 table::table(std::vector<std::string> columns) : cols_(std::move(columns)) {}
 
-void table::add_row(std::vector<std::string> cells) {
+void table::add_row(std::vector<cell> cells) {
   SSQ_ASSERT(cells.size() == cols_.size(), "row width mismatch");
   rows_.push_back(std::move(cells));
 }
@@ -35,34 +35,20 @@ void table::print() const {
   for (std::size_t c = 0; c < cols_.size(); ++c) w[c] = cols_[c].size();
   for (const auto &r : rows_)
     for (std::size_t c = 0; c < r.size(); ++c)
-      if (r[c].size() > w[c]) w[c] = r[c].size();
+      if (r[c].text.size() > w[c]) w[c] = r[c].text.size();
 
-  auto line = [&](const std::vector<std::string> &cells) {
+  auto line = [&](const std::vector<cell> &cells) {
     for (std::size_t c = 0; c < cells.size(); ++c)
       std::printf("%s%*s", c ? "  " : "", static_cast<int>(w[c]),
-                  cells[c].c_str());
+                  cells[c].text.c_str());
     std::printf("\n");
   };
-  line(cols_);
+  line({cols_.begin(), cols_.end()});
   std::size_t total = 0;
   for (std::size_t c = 0; c < cols_.size(); ++c) total += w[c] + (c ? 2 : 0);
   for (std::size_t i = 0; i < total; ++i) std::printf("-");
   std::printf("\n");
   for (const auto &r : rows_) line(r);
-}
-
-bool table::write_csv(const std::string &path) const {
-  FILE *f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  auto emit = [&](const std::vector<std::string> &cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c)
-      std::fprintf(f, "%s%s", c ? "," : "", cells[c].c_str());
-    std::fprintf(f, "\n");
-  };
-  emit(cols_);
-  for (const auto &r : rows_) emit(r);
-  std::fclose(f);
-  return true;
 }
 
 namespace {
@@ -106,17 +92,26 @@ bool table::write_json(const std::string &path) const {
   }
   std::fprintf(f, "],\n  \"rows\": [");
   for (std::size_t r = 0; r < rows_.size(); ++r) {
+    const auto &row = rows_[r];
     std::fprintf(f, "%s\n    {", r ? "," : "");
-    for (std::size_t c = 0; c < rows_[r].size(); ++c) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
       if (c) std::fprintf(f, ", ");
       json_string(f, cols_[c]);
       std::fprintf(f, ": ");
-      if (is_plain_number(rows_[r][c]))
-        std::fprintf(f, "%s", rows_[r][c].c_str());
+      if (is_plain_number(row[c].text))
+        std::fprintf(f, "%s", row[c].text.c_str());
       else
-        json_string(f, rows_[r][c]);
+        json_string(f, row[c].text);
     }
-    std::fprintf(f, "}");
+    bool spread = false;
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      if (row[c].q1.empty()) continue;
+      std::fputs(spread ? ", " : ", \"spread\": {", f);
+      spread = true;
+      json_string(f, cols_[c]);
+      std::fprintf(f, ": [%s, %s]", row[c].q1.c_str(), row[c].q3.c_str());
+    }
+    std::fputs(spread ? "}}" : "}", f);
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);

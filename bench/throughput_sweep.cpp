@@ -1,10 +1,11 @@
 // Duration-based throughput sweep: transfers/second over a fixed wall-clock
 // window, for every timed-capable implementation.
 //
-// Complements the figure benches (fixed operation count, median of reps):
-// a duration-based method is insensitive to straggler threads and lets the
-// slow baselines be compared at identical wall-clock cost. Hanson's queue
-// is absent by necessity (no timed operations -- paper §3.3).
+// Complements the figure benches (a fixed operation count per rep): a
+// duration-based method is insensitive to straggler threads and lets the
+// slow baselines be compared at identical wall-clock cost. Each cell is the
+// median over one window per rep. Hanson's queue is absent by necessity
+// (no timed operations -- paper §3.3).
 #include <atomic>
 #include <barrier>
 #include <thread>
@@ -18,13 +19,9 @@ using namespace ssq::bench;
 
 namespace {
 
-struct tp_result {
-  double transfers_per_sec;
-  bool checksum_ok;
-};
-
+// One window: successful transfers per second.
 template <typename Q>
-tp_result run_throughput(int pairs, nanoseconds window) {
+double run_throughput(int pairs, nanoseconds window) {
   Q q;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> in_sum{0}, out_sum{0}, count{0};
@@ -64,49 +61,41 @@ tp_result run_throughput(int pairs, nanoseconds window) {
   for (auto &t : ts) t.join();
   double secs = std::chrono::duration<double>(steady_clock::now() - t0).count();
 
-  tp_result r;
-  r.transfers_per_sec = static_cast<double>(count.load()) / secs;
-  r.checksum_ok = in_sum.load() == out_sum.load();
-  if (!r.checksum_ok) {
+  if (in_sum.load() != out_sum.load()) {
     std::fprintf(stderr, "THROUGHPUT CHECKSUM FAILURE\n");
     std::exit(1);
   }
-  return r;
+  return static_cast<double>(count.load()) / secs;
+}
+
+// Median transfers/sec over one window per rep.
+template <typename Q>
+harness::table::cell rate(int pairs, nanoseconds window,
+                          const sweep_config &cfg) {
+  auto s = repeat(cfg, [&] {
+    return std::vector{run_throughput<Q>(pairs, window)};
+  });
+  return {s[0], 0};
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  auto opt = harness::options::parse(argc, argv);
-  auto levels = opt.get_int_list("levels", {1, 2, 4});
+  auto cfg = parse_sweep(argc, argv, {1, 2, 4});
   auto window = std::chrono::milliseconds(
-      opt.get_int("window_ms", opt.has("quick") ? 50 : 250));
-  std::string csv = opt.get("csv", "throughput_sweep.csv");
+      cfg.opt.get_int("window_ms", cfg.opt.has("quick") ? 50 : 250));
 
   harness::table t({"pairs", "SynchronousQueue", "SynchronousQueue(fair)",
                     "NewSynchQueue", "NewSynchQueue(fair)", "Eliminating",
                     "NaiveSQ"});
-  for (int n : levels) {
-    t.add_row(
-        {std::to_string(n),
-         harness::table::fmt(
-             run_throughput<java5_unfair_t>(n, window).transfers_per_sec, 0),
-         harness::table::fmt(
-             run_throughput<java5_fair_t>(n, window).transfers_per_sec, 0),
-         harness::table::fmt(
-             run_throughput<new_unfair_t>(n, window).transfers_per_sec, 0),
-         harness::table::fmt(
-             run_throughput<new_fair_t>(n, window).transfers_per_sec, 0),
-         harness::table::fmt(
-             run_throughput<eliminating_sq<payload>>(n, window)
-                 .transfers_per_sec,
-             0),
-         harness::table::fmt(
-             run_throughput<naive_sq<payload>>(n, window).transfers_per_sec,
-             0)});
-    std::fflush(stdout);
-  }
-  emit(t, csv, "Throughput sweep: successful transfers per second "
+  for (int n : cfg.levels)
+    t.add_row({std::to_string(n), rate<java5_unfair_t>(n, window, cfg),
+               rate<java5_fair_t>(n, window, cfg),
+               rate<new_unfair_t>(n, window, cfg),
+               rate<new_fair_t>(n, window, cfg),
+               rate<eliminating_sq<payload>>(n, window, cfg),
+               rate<naive_sq<payload>>(n, window, cfg)});
+  emit(t, cfg, "Throughput sweep: successful transfers per second "
                "(duration-based method)");
   return 0;
 }

@@ -3,10 +3,15 @@
 
 The bench harness (bench/harness/table.cpp) writes
     {"meta": {"memory_order": ..., "git_rev": ..., "hardware_concurrency": ...,
-              "build_type": ..., "spin_policy": ...},
-     "columns": [...], "rows": [{col: cell, ...}, ...]}
-and the memory-order differential (bench/ablation_memory_order.cpp) produces
-one such file per build mode. This script consumes pairs of them:
+              "build_type": ..., "spin_policy": ..., "reps": ...,
+              "steal_pct": ...},
+     "columns": [...],
+     "rows": [{col: cell, ..., "spread": {col: [q1, q3], ...}}, ...]}
+where a timed cell is the median over meta.reps runs and its row's "spread"
+holds the quartiles. "spread" is not a column, so no mode below reads it:
+they compare the medians only. The memory-order differential
+(bench/ablation_memory_order.cpp) produces one such file per build mode.
+This script consumes pairs of them:
 
   compare  print a side-by-side table of every shared numeric column with
            the ratio b/a per cell (a = first file, the baseline).

@@ -1,26 +1,34 @@
 #!/usr/bin/env python3
-"""Plot the figure-bench CSVs in the paper's visual layout.
+"""Plot the figure-bench JSON files in the paper's visual layout.
 
 Usage:
-    scripts/run_figures.sh build          # produces bench_results/*.csv
+    scripts/run_figures.sh build          # produces bench_results/*.json
     python3 scripts/plot_figures.py bench_results/ [out-dir]
 
-Requires matplotlib; degrades to a message if unavailable.
+Each numeric series is plotted against the sweep key (the first column),
+with its spread (quartiles over reps) as error bars. Tables whose key is not
+a number (the cleaning and latency benches) are skipped. Requires
+matplotlib; degrades to a message if unavailable.
 """
-import csv
+import json
 import pathlib
 import sys
 
 
 def load(path):
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    header, data = rows[0], rows[1:]
-    xs = [int(r[0]) for r in data]
-    series = {
-        header[c]: [float(r[c]) for r in data] for c in range(1, len(header))
-    }
-    return header[0], xs, series
+    doc = json.loads(path.read_text())
+    key, rows = doc["columns"][0], doc["rows"]
+    if not rows or not all(isinstance(r[key], int) for r in rows):
+        return None
+    series = {}
+    for c in doc["columns"][1:]:
+        if all(isinstance(r[c], (int, float)) for r in rows):
+            ys = [r[c] for r in rows]
+            iqr = [r.get("spread", {}).get(c, [y, y]) for r, y in zip(rows, ys)]
+            err = [[y - q[0] for q, y in zip(iqr, ys)],
+                   [q[1] - y for q, y in zip(iqr, ys)]]
+            series[c] = (ys, err)
+    return key, [r[key] for r in rows], series
 
 
 def main():
@@ -30,7 +38,8 @@ def main():
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError:
-        print("matplotlib not available; CSVs are ready for any plotter.")
+        print("matplotlib not available; the JSON files are ready for any "
+              "plotter.")
         return 0
 
     src = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "bench_results")
@@ -43,18 +52,21 @@ def main():
         "fig5_single_consumer": "Single consumer (N : 1), ns/transfer",
         "fig6_executor": "CachedThreadPool, ns/task",
         "ablation_spin": "Waiting policy ablation, ns/transfer",
-        "ablation_reclaim": "Reclamation ablation, ns/transfer",
+        "ablation_pooling": "Reclamation and pooling ablation, ns/transfer",
         "ablation_elimination": "Elimination ablation, ns/transfer",
         "throughput_sweep": "Throughput (transfers/sec)",
     }
 
     made = 0
-    for csv_path in sorted(src.glob("*.csv")):
-        name = csv_path.stem
-        xlabel, xs, series = load(csv_path)
+    for path in sorted(src.glob("*.json")):
+        name = path.stem
+        loaded = load(path)
+        if not loaded or not loaded[2]:
+            continue
+        xlabel, xs, series = loaded
         fig, ax = plt.subplots(figsize=(6, 4))
-        for label, ys in series.items():
-            ax.plot(xs, ys, marker="o", label=label)
+        for label, (ys, err) in series.items():
+            ax.errorbar(xs, ys, yerr=err, marker="o", capsize=2, label=label)
         ax.set_xlabel(xlabel)
         ax.set_ylabel("ns" if "ns" in titles.get(name, "ns") else "value")
         ax.set_title(titles.get(name, name))
@@ -66,7 +78,7 @@ def main():
         made += 1
         print(f"wrote {out / (name + '.png')}")
     if not made:
-        print(f"no CSVs found under {src}")
+        print(f"no plottable JSON files under {src}")
     return 0
 
 

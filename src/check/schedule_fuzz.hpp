@@ -6,7 +6,7 @@
 // clean()/clean_me handoff, park/signal edges) a seeded per-thread RNG
 // occasionally yields or sleeps, so that "the fulfiller ran between these
 // two instructions" stops being a one-in-a-billion event and starts being a
-// per-second event. Combined with the history oracle (check/oracle.hpp)
+// per-second event. Combined with the history oracle (tests/check/oracle.hpp)
 // this is the practical equivalent of schedule exploration for a 30-second
 // stress run.
 //

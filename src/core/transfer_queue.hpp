@@ -45,7 +45,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdio>
 
 #include "check/schedule_fuzz.hpp"
 #include "core/wait_kind.hpp"
@@ -242,34 +241,6 @@ class transfer_queue {
   }
 
   Reclaimer &reclaimer() noexcept { return rec_; }
-
-  // Diagnostic: dump the linked chain (addresses, modes, item-word class).
-  // Racy like the other observers; intended for tests and debugging.
-  // ssq-lint: suppress(hazard-coverage) -- debug-only racy traversal; only
-  // invoked from tests while the structure is quiescent.
-  void debug_dump(FILE *f) const {
-    SSQ_MO_JUSTIFIED("acquire: debug-only racy traversal");
-    qnode *p = head_.value.load(SSQ_MO(acquire));
-    SSQ_MO_JUSTIFIED("acquire: debug-only racy traversal");
-    std::fprintf(f, "  tq head=%p tail=%p clean_me=%p\n",
-                 static_cast<void *>(p),
-                 static_cast<void *>(tail_.value.load(SSQ_MO(acquire))),
-                 clean_me_.value.load(SSQ_MO(acquire)));
-    int i = 0;
-    for (; p && i < 32; ++i) {
-      SSQ_MO_JUSTIFIED("acquire: debug-only racy traversal");
-      qnode *raw = p->next.load(SSQ_MO(acquire));
-      SSQ_MO_JUSTIFIED("acquire: debug-only racy traversal");
-      item_token it = p->item.load(SSQ_MO(acquire));
-      const char *cls = it == empty_token                ? "empty"
-                        : it == p->self_token()          ? "CANCELLED"
-                                                         : "value";
-      std::fprintf(f, "  [%d] %p is_data=%d item=%s next=%p%s\n", i,
-                   static_cast<void *>(p), p->is_data ? 1 : 0, cls,
-                   static_cast<void *>(strip(raw)), tagged(raw) ? " TAGGED" : "");
-      p = strip(raw);
-    }
-  }
 
  private:
   // -----------------------------------------------------------------

@@ -52,7 +52,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdio>
 #include <cstdint>
 
 #include "check/schedule_fuzz.hpp"
@@ -271,29 +270,6 @@ class transfer_stack {
   }
 
   Reclaimer &reclaimer() noexcept { return rec_; }
-
-  // Diagnostic: dump the chain from head. Racy; for tests and debugging.
-  // ssq-lint: suppress(hazard-coverage) -- debug-only racy traversal; only
-  // invoked from tests while the structure is quiescent.
-  void debug_dump(FILE *f) const {
-    SSQ_MO_JUSTIFIED("acquire: debug-only racy traversal");
-    snode *p = head_.value.load(SSQ_MO(acquire));
-    std::fprintf(f, "  ts head=%p\n", static_cast<void *>(p));
-    int i = 0;
-    for (; p && i < 32; ++i) {
-      SSQ_MO_JUSTIFIED("acquire: debug-only racy traversal");
-      snode *raw = p->next.load(SSQ_MO(acquire));
-      SSQ_MO_JUSTIFIED("acquire: debug-only racy traversal");
-      item_token xw = p->xword.load(SSQ_MO(acquire));
-      const char *cls = xw == empty_token       ? "waiting"
-                        : xw == p->self_token() ? "CANCELLED"
-                                                : "matched";
-      std::fprintf(f, "  [%d] %p mode=%u xword=%s next=%p%s\n", i,
-                   static_cast<void *>(p), p->mode, cls,
-                   static_cast<void *>(strip(raw)), tagged(raw) ? " TAGGED" : "");
-      p = strip(raw);
-    }
-  }
 
  private:
   struct snode;

@@ -89,10 +89,31 @@ struct hazard_domain::tl_cache {
 };
 
 namespace {
-hazard_domain::tl_cache &cache() {
-  thread_local hazard_domain::tl_cache c;
-  return c;
-}
+
+// Thread-local cache access that stays safe through thread teardown, split
+// as in node_pool.cpp: the slot is trivially destructible, so reading it
+// after the thread's other thread_local destructors have started is fine;
+// the owner's destructor releases the cached records and marks the slot
+// dead. A queue used from a later thread_local destructor then finds no
+// cache, and each caller takes its dead-slot path: a guard claims a record
+// for itself, retire goes to the orphan list, scan does nothing.
+struct tl_slot {
+  hazard_domain::tl_cache *cache;
+  bool dead;
+};
+thread_local tl_slot g_slot; // trivial: zero-init, no registered destructor
+
+struct tl_owner {
+  ~tl_owner() {
+    hazard_domain::tl_cache *c = g_slot.cache;
+    g_slot.cache = nullptr;
+    g_slot.dead = true;
+    delete c;
+  }
+  void touch() noexcept {}
+};
+thread_local tl_owner g_owner;
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -154,9 +175,20 @@ hazard_domain &hazard_domain::global() noexcept {
 // ---------------------------------------------------------------------------
 
 hazard_domain::record *hazard_domain::acquire_record() {
-  tl_cache &c = cache();
-  if (record *r = c.find(this)) return r;
+  tl_cache *c = g_slot.cache;
+  if (c) {
+    if (record *r = c->find(this)) return r;
+  } else {
+    if (g_slot.dead) return nullptr;
+    g_owner.touch(); // force construction so the release destructor registers
+    c = g_slot.cache = new tl_cache;
+  }
+  record *r = claim_record();
+  c->entries.push_back({this, uid_, r});
+  return r;
+}
 
+hazard_domain::record *hazard_domain::claim_record() {
   // Try to adopt an inactive record before allocating.
   SSQ_MO_JUSTIFIED("acquire: list traversal; a record's next is immutable "
                    "once the publishing acq_rel CAS links it");
@@ -168,10 +200,8 @@ hazard_domain::record *hazard_domain::acquire_record() {
       SSQ_MO_JUSTIFIED("acq_rel: adopting synchronizes with the releasing "
                        "thread's slot clears in release_record");
       if (r->active.compare_exchange_strong(expected, true,
-                                            std::memory_order_acq_rel)) {
-        c.entries.push_back({this, uid_, r});
+                                            std::memory_order_acq_rel))
         return r;
-      }
     }
   }
 
@@ -195,7 +225,6 @@ hazard_domain::record *hazard_domain::acquire_record() {
                                         std::memory_order_acquire));
   SSQ_MO_JUSTIFIED("relaxed: scan-threshold heuristic counter");
   nrecords_.fetch_add(1, std::memory_order_relaxed);
-  c.entries.push_back({this, uid_, r});
   return r;
 }
 
@@ -228,6 +257,12 @@ void hazard_domain::release_record(record *rec) {
 
 hazard_domain::hazard::hazard(hazard_domain &d) noexcept {
   rec_ = d.acquire_record();
+  if (!rec_) {
+    // The thread's record cache is gone (thread exit): this guard claims a
+    // record of its own and hands it back in its destructor.
+    rec_ = d.claim_record();
+    claimed_from_ = &d;
+  }
   // Find a free slot; the used mask is owner-thread-only state.
   unsigned i = 0;
   while (i < slots_per_record && (rec_->used_mask & (1u << i))) ++i;
@@ -241,6 +276,7 @@ hazard_domain::hazard::hazard(hazard_domain &d) noexcept {
 hazard_domain::hazard::~hazard() noexcept {
   slot_->store(nullptr, std::memory_order_release);
   rec_->used_mask &= ~(1u << idx_);
+  if (claimed_from_) claimed_from_->release_record(rec_);
 }
 
 // ---------------------------------------------------------------------------
@@ -248,9 +284,15 @@ hazard_domain::hazard::~hazard() noexcept {
 // ---------------------------------------------------------------------------
 
 void hazard_domain::retire(void *ptr, void (*deleter)(void *)) {
-  record *rec = acquire_record();
-  rec->retired.push_back({ptr, deleter});
   diag::bump(diag::id::node_retire);
+  record *rec = acquire_record();
+  if (!rec) {
+    // Thread exit: no record to hold it; the next scan anywhere adopts it.
+    std::lock_guard<std::mutex> lk(orphans_->mu);
+    orphans_->nodes.push_back({ptr, deleter});
+    return;
+  }
+  rec->retired.push_back({ptr, deleter});
   SSQ_MO_JUSTIFIED("relaxed: owner-written monitoring count, read racily by "
                    "approx_retired()");
   rec->pending.store(rec->retired.size(), std::memory_order_relaxed);
@@ -264,7 +306,10 @@ void hazard_domain::retire(void *ptr, void (*deleter)(void *)) {
   if (rec->retired.size() >= threshold) scan_with(rec);
 }
 
-std::size_t hazard_domain::scan() { return scan_with(acquire_record()); }
+std::size_t hazard_domain::scan() {
+  record *rec = acquire_record();
+  return rec ? scan_with(rec) : 0;
+}
 
 std::size_t hazard_domain::scan_with(record *rec) {
   diag::bump(diag::id::hp_scan);

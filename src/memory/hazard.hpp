@@ -15,7 +15,9 @@
 //    (threshold proportional to #records), bounding unreclaimed garbage at
 //    O(records * threshold).
 //  * Threads that exit with pending retirees push them onto the domain's
-//    orphan list; the next scan adopts them.
+//    orphan list; the next scan adopts them. A thread_local destructor that
+//    runs after the thread's record cache is gone still works: its guards
+//    claim records of their own and its retirees go straight to the orphans.
 //  * A parked waiter may keep hazards armed across a kernel block. That
 //    pins O(1) nodes per waiter (benign) and never blocks other threads'
 //    reclamation -- the property that makes HP, and not epoch-based
@@ -113,6 +115,9 @@ class hazard_domain {
    private:
     std::atomic<const void *> *slot_;
     record *rec_;
+    // Set when the thread had no record cache left and this guard claimed
+    // rec_ for itself; the destructor hands it back to this domain.
+    hazard_domain *claimed_from_ = nullptr;
     unsigned idx_;
   };
 
@@ -161,7 +166,9 @@ class hazard_domain {
  private:
   friend class hazard;
 
-  record *acquire_record();          // this thread's record (cached)
+  // This thread's record (cached); nullptr once the thread's cache is gone.
+  record *acquire_record();
+  record *claim_record();            // adopt an inactive record or allocate
   void release_record(record *rec);  // thread exit / cache eviction
 
   std::size_t scan_with(record *rec);

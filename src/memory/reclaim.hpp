@@ -13,7 +13,7 @@
 //   * deferred_reclaimer / pooled_deferred_reclaimer -- retire is a
 //                       lock-free push onto a tombstone list freed only at
 //                       reclaimer destruction. Models "GC for free" with
-//                       zero per-scan cost; used by bench/ablation_reclaim
+//                       zero per-scan cost; used by bench/ablation_pooling
 //                       to price the safety of HP.
 //
 // A policy provides:

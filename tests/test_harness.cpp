@@ -19,24 +19,27 @@ using namespace ssq::harness;
 TEST(Stats, EmptyInput) {
   auto s = summarize({});
   EXPECT_EQ(s.n, 0u);
-  EXPECT_EQ(s.mean, 0);
+  EXPECT_EQ(s.median, 0);
+  EXPECT_EQ(s.q1, 0);
+  EXPECT_EQ(s.q3, 0);
 }
 
 TEST(Stats, SingleSample) {
   auto s = summarize({5.0});
   EXPECT_EQ(s.n, 1u);
-  EXPECT_DOUBLE_EQ(s.mean, 5.0);
   EXPECT_DOUBLE_EQ(s.median, 5.0);
-  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
+  EXPECT_DOUBLE_EQ(s.q1, 5.0);
+  EXPECT_DOUBLE_EQ(s.q3, 5.0);
 }
 
 TEST(Stats, KnownDistribution) {
-  auto s = summarize({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0});
-  EXPECT_DOUBLE_EQ(s.mean, 5.0);
+  auto s = summarize({9.0, 4.0, 2.0, 5.0, 4.0, 7.0, 4.0, 5.0});
+  EXPECT_EQ(s.n, 8u);
   EXPECT_DOUBLE_EQ(s.min, 2.0);
   EXPECT_DOUBLE_EQ(s.max, 9.0);
   EXPECT_DOUBLE_EQ(s.median, 4.5);
-  EXPECT_NEAR(s.stddev, 2.138, 0.01); // sample stddev
+  EXPECT_DOUBLE_EQ(s.q1, 4.0); // rank 1.75 of the sorted samples
+  EXPECT_DOUBLE_EQ(s.q3, 5.5); // rank 5.25: between 5 and 7
 }
 
 TEST(Stats, MedianOddCount) {
@@ -66,22 +69,33 @@ TEST(Stats, PercentileEdgeCases) {
 
 // ---------------------------------------------------------------- table
 
-TEST(Table, FormatsAndWritesCsv) {
+TEST(Table, WritesJsonWithSpread) {
   table t({"N", "algo_a", "algo_b"});
-  t.add_row({"1", table::fmt(1234.56, 1), table::fmt(7.0, 1)});
+  t.add_row({"1", summarize({1000.0, 1234.56, 1300.0}), "x"});
   t.add_row({"2", "8.0", "9.5"});
-  std::string path = ::testing::TempDir() + "/ssq_table_test.csv";
-  ASSERT_TRUE(t.write_csv(path));
+  t.set_meta("reps", "3");
+  std::string path = ::testing::TempDir() + "/ssq_table_test.json";
+  ASSERT_TRUE(t.write_json(path));
 
   FILE *f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
-  char line[256];
-  ASSERT_NE(std::fgets(line, sizeof line, f), nullptr);
-  EXPECT_STREQ(line, "N,algo_a,algo_b\n");
-  ASSERT_NE(std::fgets(line, sizeof line, f), nullptr);
-  EXPECT_STREQ(line, "1,1234.6,7.0\n");
+  std::string json;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, f)) json += buf;
   std::fclose(f);
   std::remove(path.c_str());
+  EXPECT_NE(json.find("\"meta\": {\"reps\": \"3\"}"), std::string::npos);
+  EXPECT_NE(json.find("\"columns\": [\"N\", \"algo_a\", \"algo_b\"]"),
+            std::string::npos);
+  // A summarised cell: the median, unquoted, and its quartiles.
+  EXPECT_NE(json.find("{\"N\": 1, \"algo_a\": 1234.6, \"algo_b\": \"x\", "
+                      "\"spread\": {\"algo_a\": [1117.3, 1267.3]}}"),
+            std::string::npos)
+      << json;
+  // A row of plain cells has no spread.
+  EXPECT_NE(json.find("{\"N\": 2, \"algo_a\": 8.0, \"algo_b\": 9.5}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(Table, FmtPrecision) {
@@ -92,10 +106,10 @@ TEST(Table, FmtPrecision) {
 // ---------------------------------------------------------------- options
 
 TEST(Options, ParsesKeyValues) {
-  const char *argv[] = {"prog", "--reps=5", "--csv=out.csv", "--verbose"};
+  const char *argv[] = {"prog", "--reps=5", "--json=out.json", "--verbose"};
   auto o = options::parse(4, const_cast<char **>(argv));
   EXPECT_EQ(o.get_int("reps", 1), 5);
-  EXPECT_EQ(o.get("csv", ""), "out.csv");
+  EXPECT_EQ(o.get("json", ""), "out.json");
   EXPECT_TRUE(o.has("verbose"));
   EXPECT_FALSE(o.has("missing"));
   EXPECT_EQ(o.get_int("missing", 42), 42);

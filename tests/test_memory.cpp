@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/synchronous_queue.hpp"
 #include "memory/hazard.hpp"
 #include "memory/reclaim.hpp"
 #include "support/diagnostics.hpp"
@@ -142,6 +143,45 @@ TEST(Hazard, RecordsAreRecycledAcrossThreads) {
   // Sequential threads reuse the released record instead of growing the
   // list without bound.
   EXPECT_LE(dom.record_count(), 2u);
+}
+
+namespace {
+
+synchronous_queue<int, false> late_queue;
+std::atomic<int> late_done{0};
+
+// Constructed before the thread's first queue call, so its destructor runs
+// after the hazard domain's per-thread record cache is destroyed.
+struct late_offerer {
+  ~late_offerer() {
+    (void)late_queue.offer(1);
+    late_done.fetch_add(1);
+  }
+  void touch() noexcept {}
+};
+
+} // namespace
+
+TEST(Hazard, QueueUseFromLateThreadLocalDestructor) {
+  std::atomic<bool> stop{false};
+  std::thread taker([&] {
+    while (!stop.load())
+      (void)late_queue.poll(deadline::in(std::chrono::microseconds(50)));
+  });
+  const std::size_t records_before = hazard_domain::global().record_count();
+  for (int i = 0; i < 200; ++i) {
+    std::thread([] {
+      thread_local late_offerer late;
+      late.touch();
+      (void)late_queue.offer(0);
+    }).join();
+  }
+  stop.store(true);
+  taker.join();
+  EXPECT_EQ(late_done.load(), 200) << "every late offer must return";
+  // The taker's record and one offer's worth of guards, however many
+  // threads came and went: late guards hand their records back.
+  EXPECT_LE(hazard_domain::global().record_count(), records_before + 8);
 }
 
 TEST(Hazard, ExternalRootPinsItsTarget) {
