@@ -2,64 +2,34 @@
 // queues "constitute the central synchronization primitive of Hoare's CSP").
 //
 // A tiny CSP program: a `worker` process and a `coordinator` process
-// communicate over two unbuffered channels (request / reply), plus an
-// Ada-style rendezvous built from the exchanger, where two parties swap
-// state atomically at a meeting point.
+// communicate over two unbuffered channels (request / reply). Closing the
+// request channel stops the worker.
 #include <cstdio>
 #include <string>
 #include <thread>
 
-#include "core/exchanger.hpp"
-#include "core/synchronous_queue.hpp"
+#include "core/channel.hpp"
 
 using namespace ssq;
-
-// A CSP channel is just a synchronous queue with send/recv vocabulary.
-template <typename T>
-class channel {
- public:
-  void send(T v) { q_.put(std::move(v)); } // blocks until received ("!")
-  T recv() { return q_.take(); }           // blocks until sent ("?")
-
- private:
-  synchronous_queue<T, true> q_;
-};
 
 int main() {
   channel<int> request;
   channel<std::string> reply;
 
-  // worker = request?n -> reply!(n*n) -> worker
+  // worker = request?n -> reply!(n*n) -> worker, until request closes
   std::thread worker([&] {
-    for (;;) {
-      int n = request.recv();
-      if (n < 0) return; // STOP
-      reply.send("square(" + std::to_string(n) +
-                 ") = " + std::to_string(n * n));
-    }
+    while (auto n = request.recv())
+      reply.send("square(" + std::to_string(*n) +
+                 ") = " + std::to_string(*n * *n));
   });
 
   // coordinator = request!i -> reply?s -> ...
   for (int i = 1; i <= 5; ++i) {
-    request.send(i); // rendezvous #1
-    std::printf("%s\n", reply.recv().c_str()); // rendezvous #2
+    request.send(i);                            // rendezvous #1
+    std::printf("%s\n", reply.recv()->c_str()); // rendezvous #2
   }
-  request.send(-1);
+  request.close(); // STOP
   worker.join();
-
-  // Ada-style rendezvous with data flowing BOTH ways at one meeting point:
-  // two peers swap their local state via the elimination exchanger.
-  exchanger<std::string> meeting_point;
-  std::thread peer_a([&] {
-    std::string got = meeting_point.exchange("state-of-A");
-    std::printf("A received: %s\n", got.c_str());
-  });
-  std::thread peer_b([&] {
-    std::string got = meeting_point.exchange("state-of-B");
-    std::printf("B received: %s\n", got.c_str());
-  });
-  peer_a.join();
-  peer_b.join();
 
   std::printf("csp demo done\n");
   return 0;

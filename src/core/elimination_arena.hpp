@@ -4,11 +4,12 @@
 // as potential targets of the main atomic instructions ... If two threads
 // meet in one of these lower-traffic areas, they cancel each other out."
 //
-// Unlike exchanger<T>, which pairs *any* two threads, a synchronous-queue
-// arena must pair complementary operations only: a producer parked in a slot
-// may be claimed only by a consumer and vice versa (two producers meeting
-// must not swap). Each installed node therefore carries its mode, and a
-// same-mode arrival treats the slot as a collision.
+// Unlike an exchange channel (the paper's ref 18), which pairs *any* two
+// threads, a synchronous-queue arena must pair complementary operations
+// only: a producer parked in a slot may be claimed only by a consumer and
+// vice versa (two producers meeting must not swap). Each installed node
+// therefore carries its mode, and a same-mode arrival treats the slot as a
+// collision.
 //
 // Used by eliminating_sq (core/eliminating_sq.hpp); benchmarked by
 // bench/ablation_elimination, which tests the paper's prediction that

@@ -41,11 +41,12 @@
 // watermark: a traverser that published a hazard on a next-pointer
 // revalidates `head_id_ <= id(s)+1` before trusting it, which is the
 // M&S-style protect-validate step rebuilt for chains whose unlink never
-// touches the unlinked node. Bounded memory (Aksenov et al., PAPERS.md;
-// docs/memory_reclamation.md §8): live segments are those holding at least
-// one unfinalized cell, plus at most one fully-done trailing segment, plus
-// one hazard-pinned segment per matched waiter still reading its cell, so
-// resident bytes are O(live waiters).
+// touches the unlinked node. Memory (docs/memory_reclamation.md §8): a
+// poisoned cell is finished only when the other side's index reaches it,
+// so the segments up to the further of the two indices stay linked. When
+// only one side cancels, they grow with its cancellations; unlinking fully
+// poisoned segments from the middle of the chain (Aksenov et al.,
+// PAPERS.md) is not done yet.
 //
 // live_ (is_empty, unsafe_length) is written only by a cell's installer:
 // +1 when its CAS installs WAITER or a reservation, -1 when it leaves the

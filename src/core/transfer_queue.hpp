@@ -203,12 +203,11 @@ class transfer_queue {
 
   // ------------------------------------------------------------ observers
 
-  // ssq-lint: suppress(hazard-coverage) -- racy observer by contract; the
-  // dummy is only retired after head_ moves past it (stale answers OK).
+  // Racy observer: true when only the dummy remains. The answer may be
+  // stale when it returns, but the dummy it reads is protected.
   bool is_empty() const noexcept {
-    // Racy observer (tests/examples): true when only the dummy remains.
-    SSQ_MO_JUSTIFIED("acquire: racy snapshot, documented approximate");
-    qnode *h = head_.value.load(SSQ_MO(acquire));
+    typename Reclaimer::slot hz(rec_);
+    qnode *h = hz.protect(head_.value);
     SSQ_MO_JUSTIFIED("acquire: racy snapshot, documented approximate");
     return strip(h->next.load(SSQ_MO(acquire))) == nullptr;
   }
@@ -229,15 +228,24 @@ class transfer_queue {
     return n;
   }
 
-  // True when the next waiting node (if any) is a data node. Racy.
-  // ssq-lint: suppress(hazard-coverage) -- racy test-only probe of the
-  // immutable is_data field.
+  // True when the next waiting node (if any) is a data node. Racy in the
+  // same way as is_empty().
   bool head_is_data() const noexcept {
-    SSQ_MO_JUSTIFIED("acquire: racy snapshot probe");
-    qnode *h = head_.value.load(SSQ_MO(acquire));
-    SSQ_MO_JUSTIFIED("acquire: racy snapshot probe");
-    qnode *n = strip(h->next.load(SSQ_MO(acquire)));
-    return n && n->is_data;
+    typename Reclaimer::slot hz_h(rec_), hz_n(rec_);
+    for (;;) {
+      qnode *h = hz_h.protect(head_.value);
+      SSQ_MO_JUSTIFIED(
+          "acquire: snapshot; the seq_cst head/next re-reads below validate "
+          "it before n is trusted");
+      qnode *nr = h->next.load(SSQ_MO(acquire));
+      qnode *n = strip(nr);
+      hz_n.set(n);
+      // Same validation argument as in clean_inner.
+      if (h != head_.value.load(std::memory_order_seq_cst) ||
+          nr != h->next.load(std::memory_order_seq_cst))
+        continue;
+      return n && n->is_data;
+    }
   }
 
   Reclaimer &reclaimer() noexcept { return rec_; }

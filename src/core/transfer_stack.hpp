@@ -84,7 +84,7 @@ class transfer_stack {
       snode *next = strip(n->next.load(std::memory_order_relaxed));
       if ((n->mode & data_mode) && disposer_ && n->item != empty_token &&
           n->xword.load(std::memory_order_relaxed) == empty_token)
-        disposer_(n->item); // unconsumed data (async producer leftovers)
+        disposer_(n->item); // unconsumed data of a still-parked producer
       rec_.destroy(n);
       n = next;
     }
@@ -101,8 +101,7 @@ class transfer_stack {
                   deadline dl = deadline::unbounded(),
                   sync::interrupt_token *tok = nullptr) {
     SSQ_ASSERT(is_data == (e != empty_token), "token/mode mismatch");
-    SSQ_ASSERT(!(wk == wait_kind::async && !is_data),
-               "async mode is producers-only");
+    SSQ_ASSERT(wk != wait_kind::async, "the dual stack has no async mode");
     const unsigned mode = is_data ? data_mode : req_mode;
 
     snode *s = nullptr;
@@ -125,12 +124,10 @@ class transfer_stack {
           s = rec_.template create<snode>(e, mode);
         } else {
           // Reused after a lost push CAS, possibly in the fulfill branch:
-          // drop its fulfilling bit and reset its life bits.
+          // drop its fulfilling bit. It was never published, so its life
+          // bits are still clear.
           s->mode = mode;
-          s->life.preset_owned();
         }
-        // An async owner never waits on its node, so it never releases it.
-        if (wk == wait_kind::async) s->life.preset_released();
         SSQ_MO_JUSTIFIED(
             "relaxed: pre-publication store; the seq_cst head CAS below "
             "releases the node");
@@ -142,8 +139,6 @@ class transfer_stack {
           continue;
         }
         // Request linearizes at the push above.
-        if (wk == wait_kind::async) return e;
-
         item_token x = await_fulfill(s, dl, tok);
         if (x == s->self_token()) { // cancelled
           SSQ_INTERLEAVE("ts.cancelled");
@@ -166,10 +161,7 @@ class transfer_stack {
         if (s == nullptr) {
           s = rec_.template create<snode>(e, mode | fulfilling);
         } else {
-          // Reused after a lost push CAS, possibly as an async waiter's
-          // node: a fulfiller always releases its own node.
-          s->mode = mode | fulfilling;
-          s->life.preset_owned();
+          s->mode = mode | fulfilling; // reused after a lost push CAS
         }
         SSQ_MO_JUSTIFIED(
             "relaxed: pre-publication store; the seq_cst head CAS below "
@@ -259,14 +251,6 @@ class transfer_stack {
          p = strip(p->next.load(SSQ_MO(acquire))))
       ++n;
     return n;
-  }
-
-  // ssq-lint: suppress(hazard-coverage) -- single racy probe of the top
-  // node's immutable mode field; used by tests only.
-  bool head_is_data() const noexcept {
-    SSQ_MO_JUSTIFIED("acquire: racy snapshot probe");
-    snode *h = head_.value.load(SSQ_MO(acquire));
-    return h && (h->mode & data_mode);
   }
 
   Reclaimer &reclaimer() noexcept { return rec_; }

@@ -9,7 +9,8 @@ enum class wait_kind {
   sync,  // wait indefinitely for a counterpart (put / take)
   async, // producers only: enqueue and return immediately -- the
          // TransferQueue extension of paper §5 ("differ only by releasing
-         // producers before items are taken")
+         // producers before items are taken"). Only the fair linked queue
+         // (transfer_queue, under linked_transfer_queue) implements it.
 };
 
 } // namespace ssq

@@ -18,7 +18,7 @@
 //
 // A policy provides:
 //   struct slot {                         // per-pointer protection guard
-//     explicit slot(Reclaimer&);
+//     explicit slot(const Reclaimer&);
 //     T* protect(const std::atomic<T*>&); // read + publish + validate
 //     void set(T*);                       // publish a pre-validated pointer
 //     void clear();
@@ -98,16 +98,6 @@ class life_cycle {
     bits_.store(released_bit, std::memory_order_relaxed);
   }
 
-  // Undo preset_released() on a never-published node whose next
-  // publication has an owner that releases it after all (a node reused
-  // across push attempts of different kinds: core/transfer_stack.hpp).
-  void preset_owned() noexcept {
-    SSQ_MO_JUSTIFIED(
-        "relaxed: runs before the node is published (no concurrent reader); "
-        "the publishing CAS provides the release fence");
-    bits_.store(0, std::memory_order_relaxed);
-  }
-
   bool is_unlinked() const noexcept {
     SSQ_MO_JUSTIFIED(
         "acquire: pairs with mark_unlinked's release half so a reader that "
@@ -185,7 +175,7 @@ struct basic_hp_reclaimer {
 
   class slot {
    public:
-    explicit slot(basic_hp_reclaimer &r) noexcept : h_(*r.dom) {}
+    explicit slot(const basic_hp_reclaimer &r) noexcept : h_(*r.dom) {}
 
     template <typename T>
     T *protect(const std::atomic<T *> &src) noexcept {
@@ -271,7 +261,7 @@ struct basic_deferred_reclaimer {
 
   class slot {
    public:
-    explicit slot(basic_deferred_reclaimer &) noexcept {}
+    explicit slot(const basic_deferred_reclaimer &) noexcept {}
 
     template <typename T>
     T *protect(const std::atomic<T *> &src) noexcept {

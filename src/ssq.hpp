@@ -13,7 +13,6 @@
 #include "core/dual_queue_basic.hpp"
 #include "core/dual_stack_basic.hpp"
 #include "core/eliminating_sq.hpp"
-#include "core/exchanger.hpp"
 #include "core/linked_transfer_queue.hpp"
 #include "core/select.hpp"
 #include "core/synchronous_queue.hpp"

@@ -1,8 +1,9 @@
-// Small fast PRNGs for tests, workloads, and randomized backoff.
+// Small fast PRNGs for tests, workloads, the schedule fuzzer, the
+// elimination arena's slot choice and select's start offset.
 //
-// <random> engines are too heavy for use inside contended loops (mersenne
-// state thrashing defeats the point of backoff); xorshift-family generators
-// give us a few ns per draw with per-thread state.
+// <random> engines are too heavy for use inside contended loops
+// (std::mt19937 carries 2.5 KB of state); xorshift-family generators give
+// us a few ns per draw with per-thread state.
 #pragma once
 
 #include <cstdint>

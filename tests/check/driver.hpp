@@ -280,47 +280,4 @@ checked_ops make_checked_channel_ops(std::shared_ptr<Ch> ch) {
   return o;
 }
 
-// Exchanger workload: every thread repeatedly performs timed exchanges of
-// unique values; the oracle checks pairing symmetry and overlap.
-template <typename X>
-report run_exchanger(X &x, const driver_cfg &cfg, recorder &rec,
-                     driver_stats *stats = nullptr) {
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> seq{0};
-  std::vector<std::thread> ts;
-  for (int t = 0; t < cfg.threads; ++t) {
-    ts.emplace_back([&, t] {
-      xoshiro256 rng(cfg.seed * 777767777ULL + static_cast<std::uint64_t>(t));
-      std::uint64_t done_ops = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        if (cfg.max_ops_per_thread && done_ops >= cfg.max_ops_per_thread)
-          break;
-        ++done_ops;
-        const std::uint64_t v = seq.fetch_add(1) + 1;
-        // Patience must be bounded: with an odd live-thread count somebody
-        // always times out, and that is the point (withdrawal races).
-        deadline dl = deadline::in(std::chrono::microseconds(
-            50 + rng.below(cfg.max_patience_us)));
-        op_scope sc(rec, static_cast<std::size_t>(t), op_role::exchange,
-                    wait_kind::timed);
-        auto got = x.exchange_until(v, dl);
-        if (got) {
-          sc.commit(op_status::ok, v, *got);
-          if (stats) stats->produced.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          sc.commit(op_status::timeout, v, 0);
-          if (stats) stats->timeouts.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  std::this_thread::sleep_for(cfg.duration);
-  stop.store(true, std::memory_order_release);
-  for (auto &t : ts) t.join();
-
-  rules r;
-  r.exchange = true;
-  return check_history(rec.collect(), r);
-}
-
 } // namespace ssq::check

@@ -29,9 +29,8 @@
 
 namespace ssq::check {
 
-// What role(s) an operation played. An exchanger op is both: it offers a
-// value and receives one.
-enum class op_role : std::uint8_t { produce, consume, exchange };
+// The role an operation played: it offers a value or receives one.
+enum class op_role : std::uint8_t { produce, consume };
 
 enum class op_status : std::uint8_t {
   ok,          // transferred
@@ -43,8 +42,8 @@ enum class op_status : std::uint8_t {
 struct event {
   std::uint64_t invoke = 0;  // global stamp immediately before the call
   std::uint64_t ret = 0;     // global stamp immediately after the call
-  std::uint64_t given = 0;   // value offered (produce/exchange), else 0
-  std::uint64_t got = 0;     // value received (consume/exchange), else 0
+  std::uint64_t given = 0;   // value offered (produce), else 0
+  std::uint64_t got = 0;     // value received (consume), else 0
   std::uint32_t thread = 0;
   op_role role = op_role::produce;
   wait_kind wk = wait_kind::sync;
@@ -136,7 +135,6 @@ inline const char *role_name(op_role r) noexcept {
   switch (r) {
     case op_role::produce: return "produce";
     case op_role::consume: return "consume";
-    case op_role::exchange: return "exchange";
   }
   return "?";
 }

@@ -32,10 +32,6 @@
 //      -- hence a violation -- exactly when lb(A) >= ub(B). The symmetric
 //      check runs on the consumer side. Both are O(n log n) sweeps.
 //
-//  P5  Exchange symmetry (exchanger histories). Successful exchanges pair
-//      perfectly: partner(partner(x)) == x, each party received what the
-//      other gave, and the intervals overlap.
-//
 // What this oracle deliberately does not do: a Wing&Gong-style search for
 // a full linearization. For the dual queues the properties above pin the
 // observable spec (pairing, cancellation atomicity, synchrony, FIFO) while
@@ -55,15 +51,12 @@ namespace ssq::check {
 struct rules {
   // Check P4 (produce-side and consume-side FIFO pairing order).
   bool fifo = false;
-  // Check P3. On by default; exchangers and queues both require it.
+  // Check P3. On by default; every synchronous queue requires it.
   bool synchrony = true;
   // Treat unconsumed successful produces as violations (P1 second half).
   // Workloads that drain the structure before collecting set this true;
   // bounded runs that may abandon buffered async items set it false.
   bool require_all_consumed = true;
-  // History is from an exchanger: apply P5 instead of P1/P4's
-  // producer/consumer bipartite pairing.
-  bool exchange = false;
 };
 
 struct violation {
@@ -156,51 +149,6 @@ inline report check_history(const std::vector<event> &events,
                             const rules &r = rules{}) {
   report rep;
   rep.events = events.size();
-
-  // ---------------------------------------------------------- exchanger
-  if (r.exchange) {
-    std::unordered_map<std::uint64_t, const event *> by_given;
-    by_given.reserve(events.size());
-    for (const event &e : events) {
-      if (e.role != op_role::exchange) {
-        detail::add(rep, "non-exchange op in exchange history", e,
-                    detail::none());
-        continue;
-      }
-      if (e.status != op_status::ok) {
-        ++rep.cancelled;
-        if (e.got != 0)
-          detail::add(rep, "cancelled exchange received a value", e,
-                      detail::none());
-        continue;
-      }
-      if (!by_given.emplace(e.given, &e).second)
-        detail::add(rep, "duplicate offered value", e, detail::none());
-    }
-    for (const event &e : events) {
-      if (e.role != op_role::exchange || e.status != op_status::ok) continue;
-      auto it = by_given.find(e.got);
-      if (it == by_given.end()) {
-        detail::add(rep, "received a value nobody offered (or a cancelled "
-                         "party's value)",
-                    e, detail::none());
-        continue;
-      }
-      const event &partner = *it->second;
-      if (partner.got != e.given)
-        detail::add(rep, "asymmetric exchange: partner did not receive "
-                         "this op's value",
-                    e, partner);
-      if (&partner == &e)
-        detail::add(rep, "self-exchange", e, detail::none());
-      if (r.synchrony &&
-          !(e.invoke < partner.ret && partner.invoke < e.ret))
-        detail::add(rep, "exchange intervals do not overlap", e, partner);
-      ++rep.pairs;
-    }
-    rep.pairs /= 2; // counted from both sides
-    return rep;
-  }
 
   // ------------------------------------------------- producer / consumer
   std::unordered_map<std::uint64_t, const event *> produced_ok;

@@ -170,56 +170,6 @@ TEST(Oracle, AcceptsFifoOrderForAsyncProducers) {
   EXPECT_TRUE(rep.ok()) << summarize(rep);
 }
 
-// --------------------------------------------------------------- exchanger
-
-TEST(Oracle, ExchangerAcceptsSymmetricPair) {
-  std::vector<event> h{
-      ev(0, op_role::exchange, op_status::ok, 1, 4, 7, 8),
-      ev(1, op_role::exchange, op_status::ok, 2, 3, 8, 7),
-  };
-  rules r;
-  r.exchange = true;
-  report rep = check_history(h, r);
-  EXPECT_TRUE(rep.ok()) << summarize(rep);
-  EXPECT_EQ(rep.pairs, 1u);
-}
-
-TEST(Oracle, ExchangerFlagsAsymmetry) {
-  // 0 got 8 from 1, but 1 claims it got 9 (not 0's 7).
-  std::vector<event> h{
-      ev(0, op_role::exchange, op_status::ok, 1, 4, 7, 8),
-      ev(1, op_role::exchange, op_status::ok, 2, 3, 8, 9),
-      ev(2, op_role::exchange, op_status::ok, 2, 3, 9, 8),
-  };
-  rules r;
-  r.exchange = true;
-  report rep = check_history(h, r);
-  EXPECT_TRUE(has_violation(rep, "asymmetric") ||
-              has_violation(rep, "nobody offered"))
-      << summarize(rep);
-}
-
-TEST(Oracle, ExchangerFlagsNonOverlap) {
-  std::vector<event> h{
-      ev(0, op_role::exchange, op_status::ok, 1, 2, 7, 8),
-      ev(1, op_role::exchange, op_status::ok, 3, 4, 8, 7),
-  };
-  rules r;
-  r.exchange = true;
-  report rep = check_history(h, r);
-  EXPECT_TRUE(has_violation(rep, "overlap")) << summarize(rep);
-}
-
-TEST(Oracle, ExchangerFlagsCancelledWithValue) {
-  std::vector<event> h{
-      ev(0, op_role::exchange, op_status::timeout, 1, 2, 7, 9),
-  };
-  rules r;
-  r.exchange = true;
-  report rep = check_history(h, r);
-  EXPECT_TRUE(has_violation(rep, "cancelled exchange")) << summarize(rep);
-}
-
 // ------------------------------------------------------------------ teeth
 //
 // Mutation test: an intentionally broken "synchronous" queue driven through

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/exchanger.hpp"
 #include "core/linked_transfer_queue.hpp"
 #include "core/synchronous_queue.hpp"
 #include "executor/thread_pool_executor.hpp"
@@ -92,35 +91,6 @@ TEST(Integration, ExecutorOverLinkedTransferQueue) {
   EXPECT_EQ(order_errors.load(), 0)
       << "single worker over FIFO channel must preserve submit order";
   EXPECT_LE(ex.largest_pool_size(), 1u);
-}
-
-TEST(Integration, FanOutFanInWithExchangerBarrier) {
-  // Two workers process halves of a workload, then swap digests through
-  // the exchanger to cross-verify (a rendezvous barrier with data).
-  unfair_synchronous_queue<int> feed;
-  exchanger<std::uint64_t> swap;
-  std::atomic<bool> agree{false};
-
-  auto worker = [&](int quota, std::uint64_t *others_sum) {
-    std::uint64_t sum = 0;
-    for (int i = 0; i < quota; ++i) sum += static_cast<std::uint64_t>(feed.take());
-    *others_sum = swap.exchange(sum);
-  };
-  std::uint64_t a_sees = 0, b_sees = 0, a_sum = 0, b_sum = 0;
-  std::thread wa([&] { worker(50, &a_sees); });
-  std::thread wb([&] { worker(50, &b_sees); });
-  std::uint64_t total = 0;
-  for (int i = 0; i < 100; ++i) {
-    feed.put(i);
-    total += static_cast<std::uint64_t>(i);
-  }
-  wa.join();
-  wb.join();
-  // Each saw the other's digest; the two digests must sum to the feed.
-  a_sum = b_sees; // what B computed, reported to A... (swapped)
-  b_sum = a_sees;
-  agree.store(a_sum + b_sum == total);
-  EXPECT_TRUE(agree.load());
 }
 
 TEST(Integration, GracefulShutdownUnderLoad) {

@@ -17,7 +17,6 @@
 #include "check/schedule_fuzz.hpp"
 #include "core/channel.hpp"
 #include "core/eliminating_sq.hpp"
-#include "core/exchanger.hpp"
 #include "core/linked_transfer_queue.hpp"
 #include "core/select.hpp"
 #include "core/synchronous_queue.hpp"
@@ -231,7 +230,7 @@ TEST(LinearizeCheck, SegmentedRegisteringSelect) {
   }
 }
 
-// ----------------------------------------------- ltq / channel / exchanger
+// ---------------------------------------------------------- ltq / channel
 
 TEST(LinearizeCheck, LinkedTransferQueueAsync) {
   auto q = std::make_shared<linked_transfer_queue<std::uint64_t>>();
@@ -258,15 +257,6 @@ TEST(LinearizeCheck, Channel) {
   rules r;
   r.fifo = true;
   report rep = check_history(rec.collect(), r);
-  EXPECT_TRUE(rep.ok()) << summarize(rep);
-}
-
-TEST(LinearizeCheck, Exchanger) {
-  exchanger<std::uint64_t> x;
-  driver_cfg cfg = small_cfg(111);
-  recorder rec(static_cast<std::size_t>(cfg.threads) + 1,
-               cfg.max_ops_per_thread);
-  report rep = run_exchanger(x, cfg, rec);
   EXPECT_TRUE(rep.ok()) << summarize(rep);
 }
 

@@ -25,23 +25,6 @@ TEST(TransferStack, NowModeFailsOnEmpty) {
   EXPECT_TRUE(s.is_empty());
 }
 
-TEST(TransferStack, AsyncProducerDoesNotWait) {
-  transfer_stack<> s;
-  item_token t = tok_of(9);
-  EXPECT_EQ(s.xfer(t, true, wait_kind::async), t);
-  EXPECT_FALSE(s.is_empty());
-  EXPECT_TRUE(s.head_is_data());
-  EXPECT_EQ(val_of(s.xfer(empty_token, false, wait_kind::now)), 9);
-  EXPECT_TRUE(s.is_empty());
-}
-
-TEST(TransferStack, AsyncIsLifo) {
-  transfer_stack<> s;
-  for (int i = 0; i < 50; ++i) s.xfer(tok_of(i), true, wait_kind::async);
-  for (int i = 49; i >= 0; --i)
-    EXPECT_EQ(val_of(s.xfer(empty_token, false, wait_kind::now)), i);
-}
-
 TEST(TransferStack, SyncPairRendezvous) {
   transfer_stack<> s;
   std::thread p([&] {
@@ -108,34 +91,48 @@ TEST(TransferStack, CancelledNodesAreShedByTraffic) {
 
 TEST(TransferStack, NowPopSkipsCancelledTop) {
   transfer_stack<> s;
-  s.xfer(tok_of(1), true, wait_kind::async);
-  // A timed producer atop the async one cancels, leaving garbage at the
+  std::thread p([&] { s.xfer(tok_of(1), true, wait_kind::sync); });
+  while (s.unsafe_length() < 1) std::this_thread::yield();
+  // A timed producer atop the parked one cancels, leaving garbage at the
   // head.
   EXPECT_EQ(s.xfer(tok_of(2), true, wait_kind::timed,
                    deadline::in(std::chrono::milliseconds(15))),
             empty_token);
   // now-mode consumer must shed the cancelled node and find the datum.
   EXPECT_EQ(val_of(s.xfer(empty_token, false, wait_kind::now)), 1);
+  p.join();
 }
 
-TEST(TransferStack, LifoServiceOfWaitingConsumers) {
-  // Unfairness property: with two parked consumers, the most recent wins.
-  transfer_stack<> s;
-  std::atomic<int> r1{-1}, r2{-1};
-  std::thread c1([&] {
-    r1.store(val_of(s.xfer(empty_token, false, wait_kind::sync)));
-  });
-  while (s.unsafe_length() < 1) std::this_thread::yield();
-  std::thread c2([&] {
-    r2.store(val_of(s.xfer(empty_token, false, wait_kind::sync)));
-  });
-  while (s.unsafe_length() < 2) std::this_thread::yield();
-  s.xfer(tok_of(1), true, wait_kind::sync);
-  c2.join();
-  EXPECT_EQ(r2.load(), 1) << "top of stack (most recent) is served first";
-  s.xfer(tok_of(2), true, wait_kind::sync);
-  c1.join();
-  EXPECT_EQ(r1.load(), 2);
+TEST(TransferStack, LifoServiceOfWaiters) {
+  // Unfairness property: of two parked waiters, the most recent is served
+  // first, whether consumers wait for data or producers wait to hand off.
+  for (bool producers_wait : {false, true}) {
+    SCOPED_TRACE(producers_wait ? "parked producers" : "parked consumers");
+    transfer_stack<> s;
+    // Waiter w and counterpart c meet over the value w + 1 (a producer
+    // waits) or c + 1 (a consumer waits); met[c] is the waiter c met.
+    std::atomic<int> met[2] = {-1, -1};
+    std::vector<std::thread> waiters;
+    for (int w = 0; w < 2; ++w) {
+      waiters.emplace_back([&, w] {
+        if (producers_wait)
+          s.xfer(tok_of(w + 1), true, wait_kind::sync);
+        else
+          met[val_of(s.xfer(empty_token, false, wait_kind::sync)) - 1] = w;
+      });
+      while (s.unsafe_length() < static_cast<std::size_t>(w + 1))
+        std::this_thread::yield();
+    }
+    for (int c = 0; c < 2; ++c) {
+      if (producers_wait)
+        met[c] = val_of(s.xfer(empty_token, false, wait_kind::sync)) - 1;
+      else
+        s.xfer(tok_of(c + 1), true, wait_kind::sync);
+    }
+    for (auto &t : waiters) t.join();
+    EXPECT_EQ(met[0].load(), 1) << "top of stack (most recent) is served first";
+    EXPECT_EQ(met[1].load(), 0);
+  }
 }
 
 TEST(TransferStack, MixedModeStressConserves) {
@@ -206,8 +203,13 @@ TEST(TransferStack, InterruptCancelsWaiter) {
   tok.interrupt();
   c.join();
   EXPECT_TRUE(failed.load());
-  s.xfer(tok_of(1), true, wait_kind::async);
-  EXPECT_EQ(val_of(s.xfer(empty_token, false, wait_kind::now)), 1);
+  // The stack still serves: a now-mode consumer meets a parked producer.
+  std::thread p([&] { s.xfer(tok_of(1), true, wait_kind::sync); });
+  item_token r;
+  while ((r = s.xfer(empty_token, false, wait_kind::now)) == empty_token)
+    std::this_thread::yield();
+  EXPECT_EQ(val_of(r), 1);
+  p.join();
 }
 
 TEST(TransferStack, HelpersCompleteStrandedFulfillment) {
@@ -234,17 +236,4 @@ TEST(TransferStack, HelpersCompleteStrandedFulfillment) {
   for (auto &t : ts) t.join();
   EXPECT_EQ(in.load(), out.load());
   EXPECT_TRUE(s.is_empty());
-}
-
-TEST(TransferStack, DestructorDisposesBufferedData) {
-  diag::reset_all();
-  {
-    transfer_stack<> s;
-    s.set_token_disposer(
-        [](item_token t) { item_codec<std::string>::dispose(t); });
-    for (int i = 0; i < 10; ++i)
-      s.xfer(item_codec<std::string>::encode(std::string(64, 'y')), true,
-             wait_kind::async);
-  }
-  EXPECT_EQ(diag::read(diag::id::box_alloc), diag::read(diag::id::box_free));
 }

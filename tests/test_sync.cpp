@@ -1,5 +1,5 @@
 // Tests for the synchronization substrate: futex, park_slot, spin policy,
-// backoff, semaphore, monitor, fair lock, interruption.
+// semaphore, monitor, fair lock, interruption.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "support/diagnostics.hpp"
-#include "sync/backoff.hpp"
 #include "sync/fair_lock.hpp"
 #include "sync/futex.hpp"
 #include "sync/interrupt.hpp"
@@ -254,18 +253,6 @@ TEST(SpinPolicy, AdaptiveReadsTheCpuCountOnce) {
 TEST(SpinPolicy, SpinOnlyIsUnbounded) {
   EXPECT_TRUE(spin_policy::spin_only().unbounded_spin());
   EXPECT_FALSE(spin_policy::park_only().unbounded_spin());
-}
-
-TEST(Backoff, LimitGrowsAndResets) {
-  backoff b(42, 4, 64);
-  auto l0 = b.current_limit();
-  b.pause();
-  b.pause();
-  EXPECT_GT(b.current_limit(), l0);
-  for (int i = 0; i < 20; ++i) b.pause();
-  EXPECT_LE(b.current_limit(), 64u) << "truncated at max";
-  b.reset();
-  EXPECT_EQ(b.current_limit(), 4u);
 }
 
 // ---------------------------------------------------------------- semaphore

@@ -313,6 +313,36 @@ TEST(LinkedTransferQueue, HasWaitingConsumer) {
   EXPECT_FALSE(q.has_waiting_consumer());
 }
 
+TEST(LinkedTransferQueue, HasWaitingConsumerDuringTransfers) {
+  // The observer reads the head node and its successor while transfers
+  // retire them. Unprotected, those reads hit freed pool blocks, which
+  // ASan reports as use-after-poison.
+  linked_transfer_queue<int> q;
+  std::atomic<bool> stop{false};
+  std::thread observer([&] {
+    while (!stop.load(std::memory_order_relaxed))
+      (void)q.has_waiting_consumer();
+  });
+  int mismatches = 0;
+  std::thread consumer([&] {
+    for (int want = 1;; ++want) {
+      int v = q.take();
+      if (v < 0) return;
+      if (v != want) ++mismatches;
+    }
+  });
+  const auto end = steady_clock::now() + std::chrono::seconds(2);
+  for (int i = 1; i <= 2'000'000; ++i) {
+    q.transfer(i);
+    if (i % 1024 == 0 && steady_clock::now() > end) break;
+  }
+  q.transfer(-1);
+  consumer.join();
+  stop.store(true, std::memory_order_relaxed);
+  observer.join();
+  EXPECT_EQ(mismatches, 0);
+}
+
 TEST(LinkedTransferQueue, PollTimedOnBufferedData) {
   linked_transfer_queue<int> q;
   q.put(9);

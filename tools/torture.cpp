@@ -18,9 +18,9 @@
 //   ./torture --impl=new-fair --threads=8 --seconds=30 --seed=42
 //             --check=linearize [--fuzz=1]
 //   impls: new-fair new-unfair seg-fair java5-fair java5-unfair naive
-//          eliminating elim-unfair ltq exchanger channel
-//   (exchanger and channel support --check=linearize only. "eliminating"
-//   is an alias for elim-unfair.)
+//          eliminating elim-unfair ltq channel
+//   (channel supports --check=linearize only. "eliminating" is an alias
+//   for elim-unfair.)
 //
 // --fuzz=1 turns on the schedule-perturbation points when the build compiled
 // them in (-DSSQ_SCHEDULE_FUZZ=ON); otherwise it warns and proceeds. The
@@ -45,7 +45,6 @@
 #include "check/schedule_fuzz.hpp"
 #include "core/channel.hpp"
 #include "core/eliminating_sq.hpp"
-#include "core/exchanger.hpp"
 #include "core/linked_transfer_queue.hpp"
 #include "core/synchronous_queue.hpp"
 #include "harness/options.hpp"
@@ -143,11 +142,6 @@ impl_desc make_impl(const std::string &name) {
     impl_desc d;
     d.checked = check::make_checked_channel_ops(ch);
     d.fair = true;
-    d.conserve_capable = false;
-    return d;
-  }
-  if (name == "exchanger") {
-    impl_desc d; // handled specially in linearize mode
     d.conserve_capable = false;
     return d;
   }
@@ -286,23 +280,6 @@ int run_linearize(const std::string &impl, impl_desc &d, int nthreads,
   cfg.seed = seed;
   cfg.duration = std::chrono::milliseconds(seconds * 1000);
   cfg.max_ops_per_thread = max_ops;
-
-  if (impl == "exchanger") {
-    exchanger<std::uint64_t> x;
-    check::recorder rec(static_cast<std::size_t>(nthreads) + 1,
-                        cfg.max_ops_per_thread ? cfg.max_ops_per_thread : 1024);
-    check::driver_stats st;
-    check::report rep = check::run_exchanger(x, cfg, rec, &st);
-    std::printf("%s: events=%zu pairs=%zu cancelled=%zu violations=%zu\n",
-                rep.ok() ? "PASS" : "FAIL", rep.events, rep.pairs,
-                rep.cancelled, rep.violations.size());
-    if (!rep.ok()) {
-      std::fprintf(stderr, "%s", check::summarize(rep).c_str());
-      dump_failure(impl, seed, nthreads, seconds, fuzz, rep, rec.collect());
-      return 1;
-    }
-    return 0;
-  }
 
   if (!d.checked.produce) {
     std::fprintf(stderr, "--impl=%s does not support --check=linearize\n",
