@@ -135,13 +135,11 @@ harness::summary measure(int nprod, int ncons, const sweep_config &cfg) {
 }
 
 // Print the table; with --json also write it. The JSON header records
-// provenance: which memory-order mode the binary was compiled in
-// (annotations.hpp's SSQ_MO switch), the source revision, and the host
-// record -- CPU count, build type, the adaptive spin policy the queues ran
-// with, the reps behind each median and the host's steal share over the
-// run -- so committed BENCH_*.json snapshots are self-describing and
-// bench_compare.py can refuse to diff two runs of the same mode as if they
-// were a differential.
+// provenance: the memory-order mode (annotations.hpp), the source
+// revision, and the host record -- CPU count, build type, the adaptive
+// spin policy the queues ran with, the reps behind each median and the
+// host's steal share over the run -- so committed BENCH_*.json snapshots
+// are self-describing.
 inline void emit(harness::table &t, const sweep_config &cfg,
                  const char *title) {
   std::printf("\n%s\n", title);

@@ -9,7 +9,7 @@ BUILD_DIR="${1:-build}"
 SECONDS_PER="${2:-30}"
 THREADS="${3:-8}"
 
-IMPLS=(new-fair new-unfair java5-fair java5-unfair naive eliminating)
+IMPLS=(new-fair new-unfair seg-fair ltq java5-fair java5-unfair naive eliminating)
 
 fail=0
 for impl in "${IMPLS[@]}"; do

@@ -65,8 +65,6 @@ class channel {
 
   bool closed() const noexcept { return closer_.interrupted(); }
 
-  bool is_idle() const noexcept { return q_.is_empty(); }
-
   auto &queue() noexcept { return q_; }
 
  private:

@@ -10,13 +10,8 @@
 //
 // Line-number comments refer to Listing 5.
 //
-// Memory-order discipline (docs/memory_model.md): the head/tail/next CASes
-// and the snapshot validation re-reads stay seq_cst (they are Listing 5's
-// linearization points). The data-word handoff relaxes as the labeled edge
-// `node.data` -- release: the fulfilling CAS of the waiter's data word;
-// acquire: the waiter's spin probe and final read -- and the annotated
-// acquire snapshot loads. Weakened orders are spelled SSQ_MO(...) so
-// -DSSQ_FORCE_SEQ_CST pins the file for differential runs.
+// Memory orders (docs/memory_model.md): every atomic operation is seq_cst,
+// as Listing 5's Java volatiles are.
 #pragma once
 
 #include <atomic>
@@ -76,26 +71,19 @@ class dual_queue_basic {
       node *t = hz_t.protect(tail_.value);       // line 06
       node *h = hz_h.protect(head_.value);       // line 07
       if (h == t || !t->is_request) {            // line 08
-        SSQ_MO_JUSTIFIED(
-            "acquire: the seq_cst tail re-check on the next line validates "
-            "the snapshot");
-        node *n = t->next.load(SSQ_MO(acquire)); // line 09
-        if (t == tail_.value.load(std::memory_order_seq_cst)) { // line 10
+        node *n = t->next.load();                // line 09
+        if (t == tail_.value.load()) {           // line 10
           if (n != nullptr) {                    // line 11
             cas_tail(t, n);                      // line 12
           } else {
             if (!offer) offer = rec_.template create<node>(e, false);
-            if (t->next.compare_exchange_strong(
-                    n, offer, std::memory_order_seq_cst)) { // line 13
+            if (t->next.compare_exchange_strong(n, offer)) { // line 13
               cas_tail(t, offer);                // line 14
               spin_while([&] {                   // lines 15-16
-                SSQ_MO_ACQUIRE_EDGE("node.data");
-                return offer->data.load(SSQ_MO(acquire)) == e;
+                return offer->data.load() == e;
               });
               h = hz_h.protect(head_.value);     // line 17
-              SSQ_MO_JUSTIFIED(
-                  "acquire: comparison-only read under a validated hazard");
-              if (offer == h->next.load(SSQ_MO(acquire))) // line 18
+              if (offer == h->next.load())       // line 18
                 cas_head(h, offer);              // line 19
               if (offer->life.mark_released()) rec_.retire(offer);
               return;                            // line 20
@@ -103,22 +91,15 @@ class dual_queue_basic {
           }
         }
       } else {                                   // line 23: reservations
-        SSQ_MO_JUSTIFIED(
-            "acquire: snapshot; the seq_cst re-reads below validate it "
-            "before n is trusted");
-        node *n = h->next.load(SSQ_MO(acquire)); // line 24
+        node *n = h->next.load();                // line 24
         hz_n.set(n);
-        if (t != tail_.value.load(std::memory_order_seq_cst) ||
-            h != head_.value.load(std::memory_order_seq_cst) ||
-            n != h->next.load(std::memory_order_seq_cst) ||
-            n == nullptr)
+        if (t != tail_.value.load() || h != head_.value.load() ||
+            n != h->next.load() || n == nullptr)
           continue;                              // line 25-26: bad snapshot
         item_token expected = empty_token;
-        // seq_cst: the data-word CAS is the fulfill linearization point;
-        // the label documents the release side of the node.data edge.
-        SSQ_MO_RELEASE_EDGE("node.data");
-        bool success = n->data.compare_exchange_strong(
-            expected, e, std::memory_order_seq_cst); // line 27
+        // The data-word CAS is the fulfill linearization point.
+        bool success =
+            n->data.compare_exchange_strong(expected, e); // line 27
         cas_head(h, n);                          // line 28
         if (success) {                           // line 29
           // allocated on an earlier pass, never linked
@@ -138,50 +119,32 @@ class dual_queue_basic {
       node *t = hz_t.protect(tail_.value);
       node *h = hz_h.protect(head_.value);
       if (h == t || t->is_request) { // empty or contains reservations
-        SSQ_MO_JUSTIFIED(
-            "acquire: the seq_cst tail re-check on the next line validates "
-            "the snapshot");
-        node *n = t->next.load(SSQ_MO(acquire));
-        if (t == tail_.value.load(std::memory_order_seq_cst)) {
+        node *n = t->next.load();
+        if (t == tail_.value.load()) {
           if (n != nullptr) {
             cas_tail(t, n);
           } else {
             if (!req) req = rec_.template create<node>(empty_token, true);
-            if (t->next.compare_exchange_strong(n, req,
-                                                std::memory_order_seq_cst)) {
+            if (t->next.compare_exchange_strong(n, req)) {
               cas_tail(t, req);
-              spin_while([&] {
-                SSQ_MO_ACQUIRE_EDGE("node.data");
-                return req->data.load(SSQ_MO(acquire)) == empty_token;
-              });
+              spin_while([&] { return req->data.load() == empty_token; });
               h = hz_h.protect(head_.value);
-              SSQ_MO_JUSTIFIED(
-                  "acquire: comparison-only read under a validated hazard");
-              if (req == h->next.load(SSQ_MO(acquire)))
-                cas_head(h, req);
-              SSQ_MO_ACQUIRE_EDGE("node.data");
-              item_token got = req->data.load(SSQ_MO(acquire));
+              if (req == h->next.load()) cas_head(h, req);
+              item_token got = req->data.load();
               if (req->life.mark_released()) rec_.retire(req);
               return codec::decode_consume(got);
             }
           }
         }
       } else { // queue contains data
-        SSQ_MO_JUSTIFIED(
-            "acquire: snapshot; the seq_cst re-reads below validate it "
-            "before n is trusted");
-        node *n = h->next.load(SSQ_MO(acquire));
+        node *n = h->next.load();
         hz_n.set(n);
-        if (t != tail_.value.load(std::memory_order_seq_cst) ||
-            h != head_.value.load(std::memory_order_seq_cst) ||
-            n != h->next.load(std::memory_order_seq_cst) ||
-            n == nullptr)
+        if (t != tail_.value.load() || h != head_.value.load() ||
+            n != h->next.load() || n == nullptr)
           continue;
-        item_token x = n->data.load(std::memory_order_seq_cst);
+        item_token x = n->data.load();
         bool success =
-            x != empty_token &&
-            n->data.compare_exchange_strong(x, empty_token,
-                                            std::memory_order_seq_cst);
+            x != empty_token && n->data.compare_exchange_strong(x, empty_token);
         cas_head(h, n);
         if (success) {
           if (req) rec_.destroy(req); // never linked
@@ -191,13 +154,12 @@ class dual_queue_basic {
     }
   }
 
-  // ssq-lint: suppress(hazard-coverage) -- racy observer by contract; the
-  // dummy is only retired after head_ moves past it (stale answers OK).
+  // Racy observer: true when only the dummy remains. The answer may be
+  // stale when it returns, but the dummy it reads is protected.
   bool is_empty() const noexcept {
-    SSQ_MO_JUSTIFIED("acquire: racy snapshot, documented approximate");
-    node *h = head_.value.load(SSQ_MO(acquire));
-    SSQ_MO_JUSTIFIED("acquire: racy snapshot, documented approximate");
-    return h->next.load(SSQ_MO(acquire)) == nullptr;
+    typename Reclaimer::slot hz(rec_);
+    node *h = hz.protect(head_.value);
+    return h->next.load() == nullptr;
   }
 
  private:
@@ -208,12 +170,11 @@ class dual_queue_basic {
   }
 
   void cas_tail(node *t, node *nt) noexcept {
-    tail_.value.compare_exchange_strong(t, nt, std::memory_order_seq_cst);
+    tail_.value.compare_exchange_strong(t, nt);
   }
 
   void cas_head(node *h, node *nh) {
-    if (head_.value.compare_exchange_strong(h, nh,
-                                            std::memory_order_seq_cst)) {
+    if (head_.value.compare_exchange_strong(h, nh)) {
       if (h->life.mark_unlinked()) rec_.retire(h);
     }
   }

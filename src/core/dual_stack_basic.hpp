@@ -11,13 +11,9 @@
 //
 // Line-number comments refer to Listing 6.
 //
-// Memory-order discipline (docs/memory_model.md): the head CAS and the
-// publish-and-revalidate reads stay seq_cst (Listing 6's linearization
-// points). The match-word handoff relaxes as the labeled edge `node.match`
-// -- release: the match CAS in match_word; acquire: the waiter's spin probe
-// and follow-up read -- plus the annotated acquire snapshot loads.
-// Weakened orders are spelled SSQ_MO(...) so -DSSQ_FORCE_SEQ_CST pins the
-// file for differential runs.
+// Memory orders (docs/memory_model.md): every atomic operation is seq_cst,
+// as Listing 6's Java volatiles are, except the store that fills a fresh
+// node's `next` before the head CAS publishes it.
 #pragma once
 
 #include <atomic>
@@ -74,8 +70,7 @@ class dual_stack_basic {
   T pop() { return codec::decode_consume(transfer(empty_token, req_mode)); }
 
   bool is_empty() const noexcept {
-    SSQ_MO_JUSTIFIED("acquire: racy snapshot, no dereference follows");
-    return head_.value.load(SSQ_MO(acquire)) == nullptr;
+    return head_.value.load() == nullptr;
   }
 
  private:
@@ -94,22 +89,16 @@ class dual_stack_basic {
         }
         SSQ_MO_JUSTIFIED(
             "relaxed: pre-publication store; the seq_cst head CAS below "
-            "releases the node");
-        d->next.store(h, SSQ_MO(relaxed)); // line 08
-        if (!head_.value.compare_exchange_strong(
-                h, d, std::memory_order_seq_cst)) // line 09
+            "publishes the node");
+        d->next.store(h, std::memory_order_relaxed); // line 08
+        if (!head_.value.compare_exchange_strong(h, d)) // line 09
           continue;                               // line 10
         spin_while([&] {                          // lines 11-12
-          SSQ_MO_ACQUIRE_EDGE("node.match");
-          return d->match.load(SSQ_MO(acquire)) == empty_token;
+          return d->match.load() == empty_token;
         });
-        SSQ_MO_ACQUIRE_EDGE("node.match");
-        item_token m = d->match.load(SSQ_MO(acquire));
+        item_token m = d->match.load();
         h = hz_h.protect(head_.value);            // line 13
-        SSQ_MO_JUSTIFIED(
-            "acquire: comparison-only read under a validated hazard on h");
-        if (h != nullptr &&
-            d == h->next.load(SSQ_MO(acquire))) { // line 14
+        if (h != nullptr && d == h->next.load()) { // line 14
           pop_two(h, read_next_of(d, hz_n));      // line 15
         }
         if (d->life.mark_released()) rec_.retire(d);
@@ -122,10 +111,9 @@ class dual_stack_basic {
         }
         SSQ_MO_JUSTIFIED(
             "relaxed: pre-publication store; the seq_cst head CAS below "
-            "releases the node");
-        d->next.store(h, SSQ_MO(relaxed));
-        if (!head_.value.compare_exchange_strong(
-                h, d, std::memory_order_seq_cst)) // line 19
+            "publishes the node");
+        d->next.store(h, std::memory_order_relaxed);
+        if (!head_.value.compare_exchange_strong(h, d)) // line 19
           continue;                               // line 20
         // Listing 6 line 21 re-reads d->next here; that re-read is not
         // covered by any hazard (the lint's hazard-coverage check catches
@@ -162,11 +150,8 @@ class dual_stack_basic {
   // casMatch(null, f), folding the payload in (see port note).
   void match_word(node *waiter, node *f) noexcept {
     item_token expected = empty_token;
-    // seq_cst: the match CAS is the annihilation linearization point; the
-    // label documents the release side of the node.match edge.
-    SSQ_MO_RELEASE_EDGE("node.match");
-    waiter->match.compare_exchange_strong(expected, match_value(waiter, f),
-                                          std::memory_order_seq_cst);
+    // The match CAS is the annihilation linearization point.
+    waiter->match.compare_exchange_strong(expected, match_value(waiter, f));
   }
 
   // Protected read of x->next (same validation argument as the full
@@ -175,13 +160,10 @@ class dual_stack_basic {
   SSQ_ACQUIRES_HAZARD
   node *read_next_of(node *x, typename Reclaimer::slot &hz) noexcept {
     for (;;) {
-      SSQ_MO_JUSTIFIED(
-          "acquire: first half of publish-and-revalidate; the seq_cst "
-          "re-read below is the ordering anchor");
-      node *n = x->next.load(SSQ_MO(acquire));
+      node *n = x->next.load();
       hz.set(n);
       if (x->life.is_unlinked()) return n; // caller rechecks
-      if (x->next.load(std::memory_order_seq_cst) == n) return n;
+      if (x->next.load() == n) return n;
     }
   }
 
@@ -191,13 +173,9 @@ class dual_stack_basic {
   // before our mark_unlinked resolves (no splicing in the basic variant).
   // ssq-lint: suppress(hazard-coverage) -- see the paragraph above.
   void pop_two_from(node *top, node *rest) {
-    SSQ_MO_JUSTIFIED(
-        "acquire: next is immutable once the pair is at the top (no "
-        "cancellation in the basic variant); CAS success validates it");
-    node *partner = top->next.load(SSQ_MO(acquire));
+    node *partner = top->next.load();
     node *expected = top;
-    if (head_.value.compare_exchange_strong(expected, rest,
-                                            std::memory_order_seq_cst)) {
+    if (head_.value.compare_exchange_strong(expected, rest)) {
       if (top->life.mark_unlinked()) rec_.retire(top);
       if (partner && partner->life.mark_unlinked()) rec_.retire(partner);
     }

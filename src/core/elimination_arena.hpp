@@ -80,7 +80,7 @@ class elimination_arena {
     std::size_t idx = rng.below(live_slots());
 
     std::atomic<enode *> &slot = slots_[idx].value;
-    enode *cur = slot.load(std::memory_order_acquire);
+    enode *cur = slot.load(std::memory_order_seq_cst);
 
     if (cur != nullptr && packed_is_data(cur) != is_data) {
       // Complementary party parked here: claim it.

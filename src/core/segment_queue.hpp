@@ -53,41 +53,11 @@
 // cell (await_match or select_finalize returns). It counts installed cells
 // whose owner has not left yet: racy by contract, exact at quiescence.
 //
-// Memory-order discipline (docs/memory_model.md; ssq-lint --check=mo-pairing
-// audits the edge table). Orders are spelled SSQ_MO(...) so that
-// -DSSQ_FORCE_SEQ_CST pins every site back to seq_cst for differential
-// testing. Labeled release/acquire edges in this file:
-//
-//   cell.publish  install CAS (EMPTY -> WAITER/RESERVED) publishes the
-//                 cell's item and, for reservations, the selector's wait
-//                 record; acquired by the partner's first state read and by
-//                 the claim CAS.
-//   cell.claim    RESERVED -> CLAIMED CAS; acquired by the selector's
-//                 finalize spin (it must observe the partner's claim before
-//                 trusting the final state).
-//   cell.commit   the final-state CAS/store (MATCHED or POISONED) publishes
-//                 the matcher's item deposit; acquired by the woken waiter
-//                 and the finalizing selector before they read `item`.
-//   seg.link      next-pointer install CAS publishes the fresh segment's
-//                 construction; acquired by every next-pointer traversal.
-//   seg.retire    a party's `done` contribution releases its last cell
-//                 accesses; reap_head's `done` read acquires all 128 before
-//                 the segment is handed to the reclaimer. A matched plain
-//                 waiter's reads are outside this chain: its hazard orders
-//                 them before the free.
-//   seg.cursor    cursor-advance CAS releases the traversal that found the
-//                 segment; the acquire side is the hazard-slot protect()
-//                 (memory/hazard.hpp), which is seq_cst by protocol.
-//   seg.spare     the losing extender's CAS into spare_ publishes the
-//                 unused segment's construction; acquired by the next
-//                 extender's exchange, which re-stamps its id.
-//
-// Deliberately still seq_cst (the oracle's FIFO-pairing proof and the
-// reclamation protocol need a single total order over these):
-//   * senders_/receivers_ FAA and the counterpart_waiting pre-check -- the
-//     now-path's counter Dekker collapses under weaker orders;
-//   * head_seg_ CAS, head_id_ watermark, and hazard publish/validate;
-//   * select arbiter winner CAS and pin counters (cross-queue agreement).
+// Memory orders (docs/memory_model.md): every atomic operation is seq_cst,
+// as the paper's Java volatiles are, except the stores that fill a cell's
+// `item` just before the state CAS or store that publishes it. The
+// oracle's FIFO-pairing proof, the now-path's counter Dekker and the
+// hazard protect-validate all lean on that one total order.
 #pragma once
 
 #include <atomic>
@@ -273,7 +243,7 @@ class segment_queue {
     for (;;) {
       // seq_cst: the winner word is the select round's decision point and
       // is raced from other queues' partners; keep it totally ordered.
-      if (w.arb->winner.load(std::memory_order_seq_cst) != nullptr)
+      if (w.arb->winner.load() != nullptr)
         return seg_reg_status::lost;
       const std::uint64_t idx = next_index(is_data);
       seg_segment *s = find_segment(idx / seg_cells, is_data, hz);
@@ -289,16 +259,12 @@ class segment_queue {
   // for take-side registrations.
   bool select_finalize(seg_select_wait &w) {
     seg_cell &c = *w.cl;
-    SSQ_MO_ACQUIRE_EDGE("cell.commit");
-    std::uintptr_t st = c.state.load(SSQ_MO(acquire));
+    std::uintptr_t st = c.state.load();
     if (st == reinterpret_cast<std::uintptr_t>(&w)) {
-      SSQ_CELL_TRANSITION(cell_resv, cell_poisoned, "cell.commit");
-      SSQ_MO_RELEASE_EDGE("cell.commit");
-      if (c.state.compare_exchange_strong(st, cell_poisoned,
-                                          SSQ_MO(acq_rel))) {
+      SSQ_CELL_TRANSITION(cell_resv, cell_poisoned);
+      if (c.state.compare_exchange_strong(st, cell_poisoned)) {
         diag::bump(diag::id::cell_poison);
-        SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-        live_.value.fetch_sub(1, SSQ_MO(relaxed));
+        live_.value.fetch_sub(1);
         contribute(w.seg);
         return false;
       }
@@ -306,17 +272,13 @@ class segment_queue {
     for (int i = 0; st == cell_claimed; ++i) {
       // A partner is between claim and commit -- a handful of instructions.
       pol_.relax(i);
-      SSQ_MO_ACQUIRE_EDGE("cell.claim");
-      st = c.state.load(SSQ_MO(acquire));
+      st = c.state.load();
     }
     const bool matched = st == cell_matched;
     if (matched && !w.is_data) {
-      SSQ_MO_JUSTIFIED("relaxed: the cell.commit acquire above ordered the "
-                       "partner's item deposit before this read");
-      w.result = c.item.load(SSQ_MO(relaxed));
+      w.result = c.item.load();
     }
-    SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-    live_.value.fetch_sub(1, SSQ_MO(relaxed));
+    live_.value.fetch_sub(1);
     contribute(w.seg);
     return matched;
   }
@@ -325,17 +287,13 @@ class segment_queue {
   // Racy snapshots by contract (facade docs), exact at quiescence.
 
   bool is_empty() const noexcept {
-    SSQ_MO_JUSTIFIED("relaxed: racy observer by contract");
-    return live_.value.load(SSQ_MO(relaxed)) <= 0;
+    return live_.value.load() <= 0;
   }
 
   std::size_t unsafe_length() const noexcept {
-    SSQ_MO_JUSTIFIED("relaxed: racy observer by contract");
-    std::int64_t n = live_.value.load(SSQ_MO(relaxed));
+    std::int64_t n = live_.value.load();
     return n > 0 ? static_cast<std::size_t>(n) : 0;
   }
-
-  Reclaimer &reclaimer() noexcept { return rec_; }
 
  private:
   enum class cell_outcome { transferred, cancelled, retry };
@@ -344,15 +302,12 @@ class segment_queue {
     // seq_cst: the index FAAs and the counterpart_waiting counter reads
     // form the now-path's Dekker; the FIFO-pairing oracle argument orders
     // all four words in one total order (docs/memory_model.md).
-    return (is_data ? senders_ : receivers_)
-        .value.fetch_add(1, std::memory_order_seq_cst);
+    return (is_data ? senders_ : receivers_).value.fetch_add(1);
   }
 
   bool counterpart_waiting(bool is_data) const noexcept {
-    const std::uint64_t peers =
-        (is_data ? receivers_ : senders_).value.load(std::memory_order_seq_cst);
-    const std::uint64_t mine =
-        (is_data ? senders_ : receivers_).value.load(std::memory_order_seq_cst);
+    const std::uint64_t peers = (is_data ? receivers_ : senders_).value.load();
+    const std::uint64_t mine = (is_data ? senders_ : receivers_).value.load();
     return peers > mine;
   }
 
@@ -373,12 +328,10 @@ class segment_queue {
       }
       if (s->id == id) break;
       const std::uint64_t sid = s->id;
-      SSQ_MO_ACQUIRE_EDGE("seg.link");
-      seg_segment *n = s->next.load(SSQ_MO(acquire));
+      seg_segment *n = s->next.load();
       if (n == nullptr) {
         seg_segment *fresh = take_spare(sid + 1);
-        SSQ_MO_RELEASE_EDGE("seg.link");
-        if (s->next.compare_exchange_strong(n, fresh, SSQ_MO(acq_rel))) {
+        if (s->next.compare_exchange_strong(n, fresh)) {
           diag::bump(diag::id::seg_alloc);
           n = fresh;
         } else {
@@ -393,7 +346,7 @@ class segment_queue {
       // reading here implies our hazard published before any scan freed n.
       // seq_cst: this load must order against the hazard publish in
       // hz.set and the reaper's watermark bump (store-load Dekker).
-      if (head_id_.value.load(std::memory_order_seq_cst) > sid + 1) {
+      if (head_id_.value.load() > sid + 1) {
         s = hz.protect(head_seg_.value);
         continue;
       }
@@ -407,8 +360,7 @@ class segment_queue {
   // of the `next` CAS keeps its never-linked segment here for the next
   // extension instead of freeing it. At most one spare per queue.
   seg_segment *take_spare(std::uint64_t id) {
-    SSQ_MO_ACQUIRE_EDGE("seg.spare");
-    seg_segment *sp = spare_.exchange(nullptr, SSQ_MO(acquire));
+    seg_segment *sp = spare_.exchange(nullptr);
     if (sp == nullptr) return rec_.template create<seg_segment>(id);
     sp->id = id;
     return sp;
@@ -416,8 +368,7 @@ class segment_queue {
 
   void keep_spare(seg_segment *s) {
     seg_segment *expected = nullptr;
-    SSQ_MO_RELEASE_EDGE("seg.spare");
-    if (!spare_.compare_exchange_strong(expected, s, SSQ_MO(release)))
+    if (!spare_.compare_exchange_strong(expected, s))
       rec_.destroy(s); // a spare is already kept
   }
 
@@ -430,10 +381,8 @@ class segment_queue {
       seg_segment *cur = static_cast<seg_segment *>(hz.protect(cursor.value));
       if (cur->id >= s->id) return;
       void *expected = static_cast<void *>(cur);
-      SSQ_MO_RELEASE_EDGE("seg.cursor");
       if (cursor.value.compare_exchange_strong(expected,
-                                               static_cast<void *>(s),
-                                               SSQ_MO(release)))
+                                               static_cast<void *>(s)))
         return;
     }
   }
@@ -442,8 +391,7 @@ class segment_queue {
   // 2 when the committer of a plain waiter pays the waiter's too. Must be
   // the caller's last access to the cell/segment.
   void contribute(seg_segment *s, unsigned n = 1) {
-    SSQ_MO_RELEASE_EDGE("seg.retire");
-    if (s->done.fetch_add(n, SSQ_MO(release)) + n == seg_contribs)
+    if (s->done.fetch_add(n) + n == seg_contribs)
       reap_head();
   }
 
@@ -451,17 +399,14 @@ class segment_queue {
     typename Reclaimer::slot hz(rec_);
     for (;;) {
       seg_segment *h = hz.protect(head_seg_.value);
-      SSQ_MO_ACQUIRE_EDGE("seg.retire");
-      if (h->done.load(SSQ_MO(acquire)) != seg_contribs) return;
-      SSQ_MO_ACQUIRE_EDGE("seg.link");
-      seg_segment *n = h->next.load(SSQ_MO(acquire));
+      if (h->done.load() != seg_contribs) return;
+      seg_segment *n = h->next.load();
       if (n == nullptr) return; // never unlink the only segment
       seg_segment *expected = h;
       SSQ_INTERLEAVE("sq.reap");
       // seq_cst: the head swing orders against concurrent protect-validate
       // (hazard publish / watermark read) in find_segment.
-      if (head_seg_.value.compare_exchange_strong(expected, n,
-                                                  std::memory_order_seq_cst)) {
+      if (head_seg_.value.compare_exchange_strong(expected, n)) {
         bump_head_id(h->id + 1);
         retire_seg(h);
       }
@@ -474,14 +419,16 @@ class segment_queue {
     // seq_cst: the watermark is the retire side of the protect-validate
     // Dekker in find_segment; it must be totally ordered with the hazard
     // publish and the validation load.
-    std::uint64_t cur = head_id_.value.load(std::memory_order_seq_cst);
-    while (cur < id && !head_id_.value.compare_exchange_weak(
-                           cur, id, std::memory_order_seq_cst)) {
+    std::uint64_t cur = head_id_.value.load();
+    while (cur < id && !head_id_.value.compare_exchange_weak(cur, id)) {
     }
   }
 
+  // One reclaimer transaction covers 64 cells; seg_retire is what
+  // ablation_segment reads to show the 64:1 retire-traffic reduction.
   void retire_seg(seg_segment *s) {
-    rec_.retire_segment(s);
+    diag::bump(diag::id::seg_retire);
+    rec_.retire(s);
     diag::bump(diag::id::node_free); // freed (possibly deferred)
   }
 
@@ -490,8 +437,7 @@ class segment_queue {
   cell_outcome run_cell(seg_segment *s, seg_cell &c, std::uint64_t idx,
                         item_token e, bool is_data, wait_kind wk, deadline dl,
                         sync::interrupt_token *tok, item_token &out) {
-    SSQ_MO_ACQUIRE_EDGE("cell.publish");
-    std::uintptr_t st = c.state.load(SSQ_MO(acquire));
+    std::uintptr_t st = c.state.load();
     for (;;) {
       if (st == cell_empty) {
         if (wk == wait_kind::now) {
@@ -499,10 +445,8 @@ class segment_queue {
           // index; it just has not arrived. A now-op cannot wait: kill the
           // cell (the counterpart will re-FAA) and re-check the counters.
           SSQ_INTERLEAVE("sq.now.poison");
-          SSQ_CELL_TRANSITION(cell_empty, cell_poisoned, "cell.commit");
-          SSQ_MO_RELEASE_EDGE("cell.commit");
-          if (c.state.compare_exchange_strong(st, cell_poisoned,
-                                              SSQ_MO(acq_rel))) {
+          SSQ_CELL_TRANSITION(cell_empty, cell_poisoned);
+          if (c.state.compare_exchange_strong(st, cell_poisoned)) {
             diag::bump(diag::id::cell_poison);
             contribute(s);
             return cell_outcome::retry;
@@ -510,20 +454,17 @@ class segment_queue {
           continue; // counterpart arrived after all; st reloaded
         }
         if (is_data) {
-          SSQ_MO_JUSTIFIED("relaxed: published by the cell.publish CAS below");
-          c.item.store(e, SSQ_MO(relaxed));
+          SSQ_MO_JUSTIFIED(
+              "relaxed: the EMPTY -> WAITER CAS below publishes it");
+          c.item.store(e, std::memory_order_relaxed);
         }
         SSQ_INTERLEAVE("sq.install");
-        SSQ_CELL_TRANSITION(cell_empty, cell_waiter, "cell.publish");
-        SSQ_MO_RELEASE_EDGE("cell.publish");
-        if (c.state.compare_exchange_strong(st, cell_waiter,
-                                            SSQ_MO(acq_rel))) {
-          SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-          live_.value.fetch_add(1, SSQ_MO(relaxed));
+        SSQ_CELL_TRANSITION(cell_empty, cell_waiter);
+        if (c.state.compare_exchange_strong(st, cell_waiter)) {
+          live_.value.fetch_add(1);
           const cell_outcome r = await_match(s, c, idx, e, is_data, dl, tok,
                                              out);
-          SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-          live_.value.fetch_sub(1, SSQ_MO(relaxed));
+          live_.value.fetch_sub(1);
           return r;
         }
         continue;
@@ -535,18 +476,15 @@ class segment_queue {
       if (st == cell_waiter) {
         item_token got = e;
         if (is_data) {
-          SSQ_MO_JUSTIFIED("relaxed: the cell.commit CAS below releases it");
-          c.item.store(e, SSQ_MO(relaxed));
+          SSQ_MO_JUSTIFIED(
+              "relaxed: the WAITER -> MATCHED CAS below publishes it");
+          c.item.store(e, std::memory_order_relaxed);
         } else {
-          SSQ_MO_JUSTIFIED("relaxed: ordered by the cell.publish acquire "
-                           "that read WAITER");
-          got = c.item.load(SSQ_MO(relaxed));
+          got = c.item.load();
         }
         SSQ_INTERLEAVE("sq.match.cas");
-        SSQ_CELL_TRANSITION(cell_waiter, cell_matched, "cell.commit");
-        SSQ_MO_RELEASE_EDGE("cell.commit");
-        if (c.state.compare_exchange_strong(st, cell_matched,
-                                            SSQ_MO(acq_rel))) {
+        SSQ_CELL_TRANSITION(cell_waiter, cell_matched);
+        if (c.state.compare_exchange_strong(st, cell_matched)) {
           c.slot.signal();
           contribute(s, 2); // the waiter's share too: see the file comment
           out = got;
@@ -573,10 +511,8 @@ class segment_queue {
     auto *w = reinterpret_cast<seg_select_wait *>(st);
     std::uintptr_t ex = st;
     SSQ_INTERLEAVE("sq.resv.claim");
-    SSQ_CELL_TRANSITION(cell_resv, cell_claimed, "cell.claim");
-    SSQ_MO_RELEASE_EDGE("cell.claim");
-    SSQ_MO_ACQUIRE_EDGE("cell.publish");
-    if (!c.state.compare_exchange_strong(ex, cell_claimed, SSQ_MO(acq_rel))) {
+    SSQ_CELL_TRANSITION(cell_resv, cell_claimed);
+    if (!c.state.compare_exchange_strong(ex, cell_claimed)) {
       // The selector resolved the reservation first (poisoned it).
       contribute(s);
       return cell_outcome::retry;
@@ -585,37 +521,33 @@ class segment_queue {
     // select_finalize, and from pins++ until pins-- it cannot pop the
     // record's frame: both ends of the access window are covered.
     seg_select_arbiter *arb = w->arb;
-    arb->pins.fetch_add(1, std::memory_order_seq_cst);
+    arb->pins.fetch_add(1);
     void *expect_w = nullptr;
-    if (arb->winner.compare_exchange_strong(expect_w, w,
-                                            std::memory_order_seq_cst)) {
+    if (arb->winner.compare_exchange_strong(expect_w, w)) {
       item_token got = e;
       if (is_data) {
-        SSQ_MO_JUSTIFIED("relaxed: the cell.commit store below releases it");
-        c.item.store(e, SSQ_MO(relaxed));
+        SSQ_MO_JUSTIFIED(
+            "relaxed: the CLAIMED -> MATCHED store below publishes it");
+        c.item.store(e, std::memory_order_relaxed);
       } else {
-        SSQ_MO_JUSTIFIED("relaxed: the cell.claim CAS above acquired the "
-                         "reservation's deposit");
-        got = c.item.load(SSQ_MO(relaxed));
+        got = c.item.load();
       }
-      SSQ_CELL_TRANSITION(cell_claimed, cell_matched, "cell.commit");
-      SSQ_MO_RELEASE_EDGE("cell.commit");
-      c.state.store(cell_matched, SSQ_MO(release));
+      SSQ_CELL_TRANSITION(cell_claimed, cell_matched);
+      c.state.store(cell_matched);
       arb->slot.signal();
-      arb->pins.fetch_sub(1, std::memory_order_seq_cst);
+      arb->pins.fetch_sub(1);
       contribute(s);
       out = got;
       return cell_outcome::transferred;
     }
     // The select committed elsewhere: kill the cell and nudge the selector
     // awake so it can re-run its round.
-    SSQ_CELL_TRANSITION(cell_claimed, cell_poisoned, "cell.commit");
-    SSQ_MO_RELEASE_EDGE("cell.commit");
-    c.state.store(cell_poisoned, SSQ_MO(release));
+    SSQ_CELL_TRANSITION(cell_claimed, cell_poisoned);
+    c.state.store(cell_poisoned);
     diag::bump(diag::id::cell_poison);
-    w->poisoned.store(true, std::memory_order_seq_cst);
+    w->poisoned.store(true);
     arb->slot.signal();
-    arb->pins.fetch_sub(1, std::memory_order_seq_cst);
+    arb->pins.fetch_sub(1);
     contribute(s);
     return cell_outcome::retry;
   }
@@ -625,30 +557,20 @@ class segment_queue {
   cell_outcome await_match(seg_segment *s, seg_cell &c, std::uint64_t idx,
                            item_token e, bool is_data, deadline dl,
                            sync::interrupt_token *tok, item_token &out) {
-    auto done = [&c] {
-      SSQ_MO_ACQUIRE_EDGE("cell.commit");
-      return c.state.load(SSQ_MO(acquire)) != cell_waiter;
-    };
+    auto done = [&c] { return c.state.load() != cell_waiter; };
     auto &peer_ctr = is_data ? receivers_ : senders_;
     // Next in line: the peer counter has reached our index, so the next
     // counterpart's FAA lands on this cell. (`>` would hold only once that
     // counterpart has already claimed it, when spinning no longer helps.)
     // spin_then_park asks this only once the short spin has run out, so a
     // handoff caught early never reads the partner's counter line.
-    auto at_front = [&peer_ctr, idx] {
-      SSQ_MO_JUSTIFIED(
-          "relaxed: spin-depth heuristic only; a stale value merely changes "
-          "how long we spin before parking");
-      return peer_ctr.value.load(SSQ_MO(relaxed)) >= idx;
-    };
+    auto at_front = [&peer_ctr, idx] { return peer_ctr.value.load() >= idx; };
     auto r = sync::spin_then_park(c.slot, done, at_front, pol_, dl, tok);
     if (r != sync::park_slot::wait_result::woken) {
       SSQ_INTERLEAVE("sq.cancel.cas");
       std::uintptr_t ex = cell_waiter;
-      SSQ_CELL_TRANSITION(cell_waiter, cell_poisoned, "cell.commit");
-      SSQ_MO_RELEASE_EDGE("cell.commit");
-      if (c.state.compare_exchange_strong(ex, cell_poisoned,
-                                          SSQ_MO(acq_rel))) {
+      SSQ_CELL_TRANSITION(cell_waiter, cell_poisoned);
+      if (c.state.compare_exchange_strong(ex, cell_poisoned)) {
         diag::bump(diag::id::cell_poison);
         contribute(s);
         out = empty_token;
@@ -659,8 +581,7 @@ class segment_queue {
     // A committer may already have paid our share and reaped the segment;
     // only our hazard keeps it from being freed under the reads below.
     SSQ_INTERLEAVE("sq.woken");
-    SSQ_MO_ACQUIRE_EDGE("cell.commit");
-    std::uintptr_t st = c.state.load(SSQ_MO(acquire));
+    std::uintptr_t st = c.state.load();
     if (st == cell_poisoned) {
       // Foreign poison (a selector whose select went elsewhere): our claim
       // on a rendezvous is still open, retry at a fresh index.
@@ -668,9 +589,7 @@ class segment_queue {
       return cell_outcome::retry;
     }
     SSQ_ASSERT(st == cell_matched, "waiter woke to a non-final cell state");
-    SSQ_MO_JUSTIFIED("relaxed: the cell.commit acquire above ordered the "
-                     "partner's item deposit before this read");
-    out = is_data ? e : c.item.load(SSQ_MO(relaxed));
+    out = is_data ? e : c.item.load();
     // No contribution: the committer paid both of this cell's shares.
     return cell_outcome::transferred;
   }
@@ -679,24 +598,22 @@ class segment_queue {
   seg_reg_status register_cell(seg_segment *s, seg_cell &c, seg_select_wait &w,
                                item_token e, bool is_data, deadline dl,
                                sync::interrupt_token *tok) {
-    SSQ_MO_ACQUIRE_EDGE("cell.publish");
-    std::uintptr_t st = c.state.load(SSQ_MO(acquire));
+    std::uintptr_t st = c.state.load();
     for (;;) {
       if (st == cell_empty) {
         if (is_data) {
-          SSQ_MO_JUSTIFIED("relaxed: published by the cell.publish CAS below");
-          c.item.store(e, SSQ_MO(relaxed));
+          SSQ_MO_JUSTIFIED(
+              "relaxed: the EMPTY -> RESERVED CAS below publishes it");
+          c.item.store(e, std::memory_order_relaxed);
         }
         w.seg = s;
         w.cl = &c;
         w.is_data = is_data;
         SSQ_INTERLEAVE("sq.resv.install");
-        SSQ_CELL_TRANSITION(cell_empty, cell_resv, "cell.publish");
-        SSQ_MO_RELEASE_EDGE("cell.publish");
+        SSQ_CELL_TRANSITION(cell_empty, cell_resv);
         if (c.state.compare_exchange_strong(
-                st, reinterpret_cast<std::uintptr_t>(&w), SSQ_MO(acq_rel))) {
-          SSQ_MO_JUSTIFIED("relaxed: live_ feeds racy observers only");
-          live_.value.fetch_add(1, SSQ_MO(relaxed));
+                st, reinterpret_cast<std::uintptr_t>(&w))) {
+          live_.value.fetch_add(1);
           return seg_reg_status::installed;
         }
         continue;
@@ -721,24 +638,20 @@ class segment_queue {
                                   bool is_data, deadline dl,
                                   sync::interrupt_token *tok) {
     void *expect_w = nullptr;
-    if (!w.arb->winner.compare_exchange_strong(expect_w, &w,
-                                               std::memory_order_seq_cst)) {
+    if (!w.arb->winner.compare_exchange_strong(expect_w, &w)) {
       resolve_lost_peer(s, c);
       return seg_reg_status::lost;
     }
     item_token got = e;
     if (is_data) {
-      SSQ_MO_JUSTIFIED("relaxed: the cell.commit CAS below releases it");
-      c.item.store(e, SSQ_MO(relaxed));
+      SSQ_MO_JUSTIFIED("relaxed: the WAITER -> MATCHED CAS below publishes it");
+      c.item.store(e, std::memory_order_relaxed);
     } else {
-      SSQ_MO_JUSTIFIED("relaxed: ordered by the cell.publish acquire that "
-                       "read WAITER");
-      got = c.item.load(SSQ_MO(relaxed));
+      got = c.item.load();
     }
     std::uintptr_t ex = cell_waiter;
-    SSQ_CELL_TRANSITION(cell_waiter, cell_matched, "cell.commit");
-    SSQ_MO_RELEASE_EDGE("cell.commit");
-    if (c.state.compare_exchange_strong(ex, cell_matched, SSQ_MO(acq_rel))) {
+    SSQ_CELL_TRANSITION(cell_waiter, cell_matched);
+    if (c.state.compare_exchange_strong(ex, cell_matched)) {
       c.slot.signal();
       contribute(s, 2); // the waiter's share too: see the file comment
       w.result = got;
@@ -757,9 +670,8 @@ class segment_queue {
   // resolution (our index is burned either way).
   void resolve_lost_peer(seg_segment *s, seg_cell &c) {
     std::uintptr_t ex = cell_waiter;
-    SSQ_CELL_TRANSITION(cell_waiter, cell_poisoned, "cell.commit");
-    SSQ_MO_RELEASE_EDGE("cell.commit");
-    if (c.state.compare_exchange_strong(ex, cell_poisoned, SSQ_MO(acq_rel))) {
+    SSQ_CELL_TRANSITION(cell_waiter, cell_poisoned);
+    if (c.state.compare_exchange_strong(ex, cell_poisoned)) {
       diag::bump(diag::id::cell_poison);
       c.slot.signal(); // the waiter re-checks state and retries elsewhere
     }
@@ -775,40 +687,34 @@ class segment_queue {
                                        sync::interrupt_token *tok) {
     auto *peer = reinterpret_cast<seg_select_wait *>(st);
     std::uintptr_t ex = st;
-    SSQ_CELL_TRANSITION(cell_resv, cell_claimed, "cell.claim");
-    SSQ_MO_RELEASE_EDGE("cell.claim");
-    SSQ_MO_ACQUIRE_EDGE("cell.publish");
-    if (!c.state.compare_exchange_strong(ex, cell_claimed, SSQ_MO(acq_rel))) {
+    SSQ_CELL_TRANSITION(cell_resv, cell_claimed);
+    if (!c.state.compare_exchange_strong(ex, cell_claimed)) {
       contribute(s); // peer resolved it first (poisoned)
       return seg_reg_status::retry;
     }
     seg_select_arbiter *parb = peer->arb;
-    parb->pins.fetch_add(1, std::memory_order_seq_cst);
+    parb->pins.fetch_add(1);
     void *mine_expect = nullptr;
-    if (!w.arb->winner.compare_exchange_strong(mine_expect, &w,
-                                               std::memory_order_seq_cst)) {
+    if (!w.arb->winner.compare_exchange_strong(mine_expect, &w)) {
       // Our select committed elsewhere: release the peer poisoned and wake
       // it to re-run its round.
       poison_claimed_peer(s, c, peer, parb);
       return seg_reg_status::lost;
     }
     void *peer_expect = nullptr;
-    if (parb->winner.compare_exchange_strong(peer_expect, peer,
-                                             std::memory_order_seq_cst)) {
+    if (parb->winner.compare_exchange_strong(peer_expect, peer)) {
       item_token got = e;
       if (is_data) {
-        SSQ_MO_JUSTIFIED("relaxed: the cell.commit store below releases it");
-        c.item.store(e, SSQ_MO(relaxed));
+        SSQ_MO_JUSTIFIED(
+            "relaxed: the CLAIMED -> MATCHED store below publishes it");
+        c.item.store(e, std::memory_order_relaxed);
       } else {
-        SSQ_MO_JUSTIFIED("relaxed: the cell.claim CAS above acquired the "
-                         "reservation's deposit");
-        got = c.item.load(SSQ_MO(relaxed));
+        got = c.item.load();
       }
-      SSQ_CELL_TRANSITION(cell_claimed, cell_matched, "cell.commit");
-      SSQ_MO_RELEASE_EDGE("cell.commit");
-      c.state.store(cell_matched, SSQ_MO(release));
+      SSQ_CELL_TRANSITION(cell_claimed, cell_matched);
+      c.state.store(cell_matched);
       parb->slot.signal();
-      parb->pins.fetch_sub(1, std::memory_order_seq_cst);
+      parb->pins.fetch_sub(1);
       contribute(s);
       w.result = got;
       return seg_reg_status::completed;
@@ -824,13 +730,12 @@ class segment_queue {
 
   void poison_claimed_peer(seg_segment *s, seg_cell &c, seg_select_wait *peer,
                            seg_select_arbiter *parb) {
-    SSQ_CELL_TRANSITION(cell_claimed, cell_poisoned, "cell.commit");
-    SSQ_MO_RELEASE_EDGE("cell.commit");
-    c.state.store(cell_poisoned, SSQ_MO(release));
+    SSQ_CELL_TRANSITION(cell_claimed, cell_poisoned);
+    c.state.store(cell_poisoned);
     diag::bump(diag::id::cell_poison);
-    peer->poisoned.store(true, std::memory_order_seq_cst);
+    peer->poisoned.store(true);
     parb->slot.signal();
-    parb->pins.fetch_sub(1, std::memory_order_seq_cst);
+    parb->pins.fetch_sub(1);
     contribute(s);
   }
 

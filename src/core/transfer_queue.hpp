@@ -33,14 +33,10 @@
 //   * the clean_me pointer is registered as an external hazard root, so a
 //     node it references can never be freed out from under a cleaner.
 //
-// Memory-order discipline (docs/memory_model.md): the head/tail/next/item
-// CASes are the algorithm's linearization points and stay seq_cst -- the
-// oracle's FIFO-pairing proof quantifies over one total order of them.
-// What relaxes are the item-word *reads* on the waiter side, paired as the
-// labeled edge `qnode.item` (release: the fulfill/cancel cas_item; acquire:
-// is_cancelled, the wait loop's done probe, and the final read), plus the
-// already-annotated acquire snapshot loads. Every weakened order is spelled
-// SSQ_MO(...) so -DSSQ_FORCE_SEQ_CST pins the file for differential runs.
+// Memory orders (docs/memory_model.md): every atomic operation is seq_cst.
+// The head/tail/next/item CASes are the algorithm's linearization points,
+// and the oracle's FIFO-pairing proof quantifies over one total order of
+// them.
 #pragma once
 
 #include <atomic>
@@ -128,11 +124,8 @@ class transfer_queue {
 
       if (h == t || t->is_data == is_data) {
         // ------------------------------------------------ same-mode: wait
-        SSQ_MO_JUSTIFIED(
-            "acquire: the seq_cst tail re-check on the next line is the "
-            "snapshot validation; this read only needs the node contents");
-        qnode *n = t->next.load(SSQ_MO(acquire));
-        if (t != tail_.value.load(std::memory_order_seq_cst)) continue;
+        qnode *n = t->next.load();
+        if (t != tail_.value.load()) continue;
         if (n != nullptr) { // tail lagging (or t dying): help
           advance_tail(t, strip(n));
           continue;
@@ -169,21 +162,18 @@ class transfer_queue {
         return is_data ? e : x;
       } else {
         // ----------------------------------------- complementary: fulfill
-        SSQ_MO_JUSTIFIED(
-            "acquire: initial snapshot; the seq_cst head/next re-reads below "
-            "validate it before any dereference of m");
-        qnode *mr = h->next.load(SSQ_MO(acquire));
+        qnode *mr = h->next.load();
         qnode *m = strip(mr);
         hz_m.set(m);
         // Validate the snapshot: head unmoved and successor word unchanged
         // (raw compare: a tag appearing means h began dying). Passing both
         // proves m was live when the hazard was published.
-        if (t != tail_.value.load(std::memory_order_seq_cst) ||
-            m == nullptr || h != head_.value.load(std::memory_order_seq_cst) ||
-            mr != h->next.load(std::memory_order_seq_cst))
+        if (t != tail_.value.load() ||
+            m == nullptr || h != head_.value.load() ||
+            mr != h->next.load())
           continue;
 
-        item_token x = m->item.load(std::memory_order_seq_cst);
+        item_token x = m->item.load();
         if (is_data == (x != empty_token) // m already fulfilled
             || x == m->self_token()       // m cancelled
             || !m->cas_item(x, e)) {      // lost the race to fulfill
@@ -208,8 +198,7 @@ class transfer_queue {
   bool is_empty() const noexcept {
     typename Reclaimer::slot hz(rec_);
     qnode *h = hz.protect(head_.value);
-    SSQ_MO_JUSTIFIED("acquire: racy snapshot, documented approximate");
-    return strip(h->next.load(SSQ_MO(acquire))) == nullptr;
+    return strip(h->next.load()) == nullptr;
   }
 
   // Number of linked nodes (excluding the dummy), counting cancelled ones:
@@ -219,11 +208,8 @@ class transfer_queue {
   // `unsafe_` prefix is the documentation); callers must quiesce first.
   std::size_t unsafe_length() const noexcept {
     std::size_t n = 0;
-    SSQ_MO_JUSTIFIED("acquire: racy traversal, documented unsafe");
-    qnode *p = head_.value.load(SSQ_MO(acquire));
-    SSQ_MO_JUSTIFIED("acquire: racy traversal, documented unsafe");
-    for (p = strip(p->next.load(SSQ_MO(acquire))); p;
-         p = strip(p->next.load(SSQ_MO(acquire))))
+    qnode *p = head_.value.load();
+    for (p = strip(p->next.load()); p; p = strip(p->next.load()))
       ++n;
     return n;
   }
@@ -234,21 +220,15 @@ class transfer_queue {
     typename Reclaimer::slot hz_h(rec_), hz_n(rec_);
     for (;;) {
       qnode *h = hz_h.protect(head_.value);
-      SSQ_MO_JUSTIFIED(
-          "acquire: snapshot; the seq_cst head/next re-reads below validate "
-          "it before n is trusted");
-      qnode *nr = h->next.load(SSQ_MO(acquire));
+      qnode *nr = h->next.load();
       qnode *n = strip(nr);
       hz_n.set(n);
       // Same validation argument as in clean_inner.
-      if (h != head_.value.load(std::memory_order_seq_cst) ||
-          nr != h->next.load(std::memory_order_seq_cst))
+      if (h != head_.value.load() || nr != h->next.load())
         continue;
       return n && n->is_data;
     }
   }
-
-  Reclaimer &reclaimer() noexcept { return rec_; }
 
  private:
   // -----------------------------------------------------------------
@@ -291,21 +271,15 @@ class transfer_queue {
       return reinterpret_cast<item_token>(this);
     }
     bool is_cancelled() const noexcept {
-      SSQ_MO_ACQUIRE_EDGE("qnode.item");
-      return item.load(SSQ_MO(acquire)) == self_token();
+      return item.load() == self_token();
     }
     bool cas_item(item_token expected, item_token desired) noexcept {
-      // seq_cst: the item-word CAS is the fulfill/cancel linearization
-      // point (paper §3.3) and must stay in the single total order the
-      // oracle's FIFO-pairing proof quantifies over. The label documents
-      // the release side of the qnode.item edge its acquire ends pair with.
-      SSQ_MO_RELEASE_EDGE("qnode.item");
-      return item.compare_exchange_strong(expected, desired,
-                                          std::memory_order_seq_cst);
+      // The item-word CAS is the fulfill/cancel linearization point
+      // (paper §3.3).
+      return item.compare_exchange_strong(expected, desired);
     }
     bool cas_next(qnode *expected, qnode *desired) noexcept {
-      return next.compare_exchange_strong(expected, desired,
-                                          std::memory_order_seq_cst);
+      return next.compare_exchange_strong(expected, desired);
     }
   };
 
@@ -315,11 +289,10 @@ class transfer_queue {
   SSQ_RETURNS_UNPROTECTED
   static qnode *freeze_next(qnode *n) noexcept {
     for (;;) {
-      qnode *raw = n->next.load(std::memory_order_seq_cst);
+      qnode *raw = n->next.load();
       if (raw == nullptr) return nullptr;
       if (tagged(raw)) return strip(raw);
-      if (n->next.compare_exchange_weak(raw, with_tag(raw),
-                                        std::memory_order_seq_cst))
+      if (n->next.compare_exchange_weak(raw, with_tag(raw)))
         return raw;
     }
   }
@@ -329,17 +302,13 @@ class transfer_queue {
   // value: self-token means cancelled.
   item_token await_fulfill(qnode *s, item_token e, deadline dl,
                            sync::interrupt_token *tok) {
-    auto done = [&] {
-      SSQ_MO_ACQUIRE_EDGE("qnode.item");
-      return s->item.load(SSQ_MO(acquire)) != e;
-    };
+    auto done = [&] { return s->item.load() != e; };
     // Next in line: we are the first node after the dummy head, so the next
     // counterpart to arrive fulfills us (the JDK's `head.next == s`).
     auto at_front = [&] {
       typename Reclaimer::slot hz(rec_);
       qnode *h = hz.protect(head_.value);
-      SSQ_MO_JUSTIFIED("acquire: comparison-only spin heuristic read");
-      return strip(h->next.load(SSQ_MO(acquire))) == s;
+      return strip(h->next.load()) == s;
     };
     auto r = sync::spin_then_park(s->slot, done, at_front, pol_, dl, tok);
     if (r != sync::park_slot::wait_result::woken) {
@@ -348,13 +317,12 @@ class transfer_queue {
       SSQ_INTERLEAVE("tq.cancel.cas");
       s->cas_item(e, s->self_token());
     }
-    SSQ_MO_ACQUIRE_EDGE("qnode.item");
-    return s->item.load(SSQ_MO(acquire));
+    return s->item.load();
   }
 
   void advance_tail(qnode *t, qnode *nt) noexcept {
     // No retirement here: the old tail stays linked.
-    tail_.value.compare_exchange_strong(t, nt, std::memory_order_seq_cst);
+    tail_.value.compare_exchange_strong(t, nt);
   }
 
   // Pop h (the current or a former dummy), installing `expected_next` --
@@ -370,8 +338,7 @@ class transfer_queue {
     qnode *nh = freeze_next(h);
     if (nh == nullptr || nh != expected_next) return;
     qnode *expected = h;
-    if (head_.value.compare_exchange_strong(expected, nh,
-                                            std::memory_order_seq_cst)) {
+    if (head_.value.compare_exchange_strong(expected, nh)) {
       if (h->life.mark_unlinked()) retire_node(h);
     }
   }
@@ -380,13 +347,9 @@ class transfer_queue {
     // Hygiene: drop a clean_me registration that points at the dying node's
     // record (the external-root scan makes any transient staleness safe;
     // this just stops pinning it).
-    SSQ_MO_JUSTIFIED(
-        "acquire: hygiene-only read; staleness is safe because the "
-        "external-root scan pins whatever clean_me_ holds");
-    void *cm = clean_me_.value.load(SSQ_MO(acquire));
+    void *cm = clean_me_.value.load();
     if (cm == static_cast<void *>(n))
-      clean_me_.value.compare_exchange_strong(cm, nullptr,
-                                              std::memory_order_seq_cst);
+      clean_me_.value.compare_exchange_strong(cm, nullptr);
     rec_.retire(n);
     diag::bump(diag::id::node_free); // freed (possibly deferred)
   }
@@ -424,13 +387,9 @@ class transfer_queue {
     // there too: advanceHead self-links a popped pred, and a casNext through
     // a spliced-out one succeeds harmlessly. clean() then sheds the
     // cancelled prefix, which keeps garbage bounded.
-    while (!s->life.is_unlinked() &&
-           pred->next.load(std::memory_order_seq_cst) == s) {
+    while (!s->life.is_unlinked() && pred->next.load() == s) {
       qnode *h = hz_h.protect(head_.value);
-      SSQ_MO_JUSTIFIED(
-          "acquire: snapshot; the seq_cst head/next re-reads below validate "
-          "it before hn is trusted");
-      qnode *hnr = h->next.load(SSQ_MO(acquire));
+      qnode *hnr = h->next.load();
       qnode *hn = strip(hnr);
       hz_x.set(hn);
       // Revalidation: while h is still the head, its successor word being
@@ -438,8 +397,7 @@ class transfer_queue {
       // (untagged: an unlink would have changed or tagged the word; tagged:
       // the word is frozen and its referent can only be unlinked by popping
       // h itself, which would move the head).
-      if (h != head_.value.load(std::memory_order_seq_cst) ||
-          hnr != h->next.load(std::memory_order_seq_cst))
+      if (h != head_.value.load() || hnr != h->next.load())
         continue;
       if (hn != nullptr && hn->is_cancelled()) {
         advance_head(h, hn);
@@ -447,11 +405,8 @@ class transfer_queue {
       }
       qnode *t = hz_t.protect(tail_.value);
       if (t == h) return; // queue empty: s is no longer linked
-      SSQ_MO_JUSTIFIED(
-          "acquire: the seq_cst tail re-check on the next line validates "
-          "the snapshot; tn itself is never dereferenced");
-      qnode *tn = t->next.load(SSQ_MO(acquire));
-      if (t != tail_.value.load(std::memory_order_seq_cst)) continue;
+      qnode *tn = t->next.load();
+      if (t != tail_.value.load()) continue;
       if (tn != nullptr) {
         advance_tail(t, strip(tn));
         continue;
@@ -480,20 +435,17 @@ class transfer_queue {
         // same way as hn above: an untagged, unchanged dp->next proves dp
         // has not begun dying, hence d (unlinkable only after dp dies or
         // dp->next moves) was live when its hazard was published.
-        SSQ_MO_JUSTIFIED(
-            "acquire: snapshot; the seq_cst dp->next re-read below "
-            "validates it before d is trusted");
-        qnode *dr = dp->next.load(SSQ_MO(acquire));
+        qnode *dr = dp->next.load();
         qnode *d = strip(dr);
         hz_e.set(d);
         bool resolved = false;
         if (tagged(dr) || dp->life.is_unlinked()) {
           resolved = true; // dp is dying/dead; registration is stale
-        } else if (dp->next.load(std::memory_order_seq_cst) != dr) {
+        } else if (dp->next.load() != dr) {
           continue; // splice finished by someone else; re-examine
         } else if (d == nullptr || !d->is_cancelled()) {
           resolved = true; // nothing (cancelled) left to splice
-        } else if (d != tail_.value.load(std::memory_order_seq_cst)) {
+        } else if (d != tail_.value.load()) {
           qnode *dn = freeze_next(d);
           if (dn != nullptr && dp->cas_next(d, dn)) {
             if (d->life.mark_unlinked()) retire_node(d);
@@ -517,21 +469,16 @@ class transfer_queue {
     typename Reclaimer::slot hz_h(rec_), hz_x(rec_);
     for (;;) {
       qnode *h = hz_h.protect(head_.value);
-      SSQ_MO_JUSTIFIED(
-          "acquire: snapshot; the seq_cst head/next re-reads below validate "
-          "it before hn is trusted");
-      qnode *hnr = h->next.load(SSQ_MO(acquire));
+      qnode *hnr = h->next.load();
       qnode *hn = strip(hnr);
       hz_x.set(hn);
       // Same validation argument as in clean_inner above.
-      if (h != head_.value.load(std::memory_order_seq_cst) ||
-          hnr != h->next.load(std::memory_order_seq_cst))
+      if (h != head_.value.load() || hnr != h->next.load())
         continue;
       if (hn == nullptr || !hn->is_cancelled()) return; // front is live
-      qnode *before = head_.value.load(std::memory_order_seq_cst);
+      qnode *before = head_.value.load();
       advance_head(h, hn);
-      if (head_.value.load(std::memory_order_seq_cst) == before &&
-          before == h)
+      if (head_.value.load() == before && before == h)
         return; // aborted pop (raced splice): let others finish
     }
   }
@@ -539,20 +486,16 @@ class transfer_queue {
   SSQ_ACQUIRES_HAZARD
   qnode *protect_clean_me(typename Reclaimer::slot &hz) noexcept {
     for (;;) {
-      SSQ_MO_JUSTIFIED(
-          "acquire: first half of the publish-and-revalidate protect loop; "
-          "the seq_cst re-read below is the ordering anchor");
-      void *p = clean_me_.value.load(SSQ_MO(acquire));
+      void *p = clean_me_.value.load();
       hz.set(static_cast<qnode *>(p));
-      if (clean_me_.value.load(std::memory_order_seq_cst) == p)
+      if (clean_me_.value.load() == p)
         return static_cast<qnode *>(p);
     }
   }
 
   bool cas_clean_me(qnode *expected, qnode *desired) noexcept {
     void *e = expected;
-    return clean_me_.value.compare_exchange_strong(
-        e, desired, std::memory_order_seq_cst);
+    return clean_me_.value.compare_exchange_strong(e, desired);
   }
 
   Reclaimer rec_;

@@ -38,16 +38,11 @@
 //     the victim(s) before the head CAS for the same reason, which also
 //     pins the post-pop successor value the CAS installs.
 //
-// Memory-order discipline (docs/memory_model.md): the head/next/xword
-// CASes, the helping protocol's reads in the fulfillment loop, and the
-// freeze/pop validation reads stay seq_cst -- the annihilation argument
-// ("a frozen fulfilling node always implies its xword is set") and the
-// oracle's pairing proof lean on one total order over them. The waiter
-// side relaxes as the labeled edge `snode.xword` (release: the match CAS
-// and the report store in try_match; acquire: is_cancelled, the wait
-// loop's done probe, and the final read), plus the annotated acquire
-// snapshot loads. Weakened orders are spelled SSQ_MO(...) so
-// -DSSQ_FORCE_SEQ_CST pins the file for differential runs.
+// Memory orders (docs/memory_model.md): every atomic operation is seq_cst
+// -- the annihilation argument ("a frozen fulfilling node always implies
+// its xword is set") and the oracle's pairing proof lean on one total
+// order -- except the store that fills a fresh node's `next` before the
+// head CAS publishes it.
 #pragma once
 
 #include <atomic>
@@ -130,11 +125,10 @@ class transfer_stack {
         }
         SSQ_MO_JUSTIFIED(
             "relaxed: pre-publication store; the seq_cst head CAS below "
-            "releases the node");
-        s->next.store(h, SSQ_MO(relaxed));
+            "publishes the node");
+        s->next.store(h, std::memory_order_relaxed);
         SSQ_INTERLEAVE("ts.push");
-        if (!head_.value.compare_exchange_strong(h, s,
-                                                 std::memory_order_seq_cst)) {
+        if (!head_.value.compare_exchange_strong(h, s)) {
           diag::bump(diag::id::cas_fail);
           continue;
         }
@@ -165,18 +159,17 @@ class transfer_stack {
         }
         SSQ_MO_JUSTIFIED(
             "relaxed: pre-publication store; the seq_cst head CAS below "
-            "releases the node");
-        s->next.store(h, SSQ_MO(relaxed));
+            "publishes the node");
+        s->next.store(h, std::memory_order_relaxed);
         SSQ_INTERLEAVE("ts.fulfill.push");
-        if (!head_.value.compare_exchange_strong(h, s,
-                                                 std::memory_order_seq_cst)) {
+        if (!head_.value.compare_exchange_strong(h, s)) {
           diag::bump(diag::id::cas_fail);
           continue;
         }
         // Fulfillment loop: annihilate s with the node beneath it. Other
         // threads may help; completion is signalled through s->xword.
         for (;;) {
-          item_token got = s->xword.load(std::memory_order_seq_cst);
+          item_token got = s->xword.load();
           if (got != empty_token) { // a helper finished the match for us
             if (!s->life.is_unlinked()) pop_pair(s);
             if (s->life.mark_released()) rec_retire(s);
@@ -187,7 +180,7 @@ class transfer_stack {
             // Either a match+pop raced between the two reads (xword is set
             // now and final), or a helper retracted us from an empty stack
             // (m == nullptr path) and we must start over.
-            got = s->xword.load(std::memory_order_seq_cst);
+            got = s->xword.load();
             if (got != empty_token) {
               if (s->life.mark_released()) rec_retire(s);
               return is_data ? e : got;
@@ -204,8 +197,7 @@ class transfer_stack {
             // All waiters vanished (timed out): retract the fulfilling
             // node and start over.
             snode *expected = s;
-            if (head_.value.compare_exchange_strong(
-                    expected, nullptr, std::memory_order_seq_cst)) {
+            if (head_.value.compare_exchange_strong(expected, nullptr)) {
               snode *dead = s;
               s = nullptr;
               if (dead->life.mark_unlinked()) rec_retire(dead);
@@ -216,7 +208,7 @@ class transfer_stack {
           }
           if (try_match(m, s)) {
             pop_pair(s);
-            item_token r = s->xword.load(std::memory_order_seq_cst);
+            item_token r = s->xword.load();
             if (s->life.mark_released()) rec_retire(s);
             return is_data ? e : r;
           }
@@ -238,22 +230,17 @@ class transfer_stack {
   // ------------------------------------------------------------ observers
 
   bool is_empty() const noexcept {
-    SSQ_MO_JUSTIFIED("acquire: racy snapshot, no dereference follows");
-    return head_.value.load(SSQ_MO(acquire)) == nullptr;
+    return head_.value.load() == nullptr;
   }
 
   // ssq-lint: suppress(hazard-coverage) -- racy observer by contract (the
   // `unsafe_` prefix is the documentation); callers must quiesce first.
   std::size_t unsafe_length() const noexcept {
     std::size_t n = 0;
-    SSQ_MO_JUSTIFIED("acquire: racy traversal, documented unsafe");
-    for (snode *p = head_.value.load(SSQ_MO(acquire)); p;
-         p = strip(p->next.load(SSQ_MO(acquire))))
+    for (snode *p = head_.value.load(); p; p = strip(p->next.load()))
       ++n;
     return n;
   }
-
-  Reclaimer &reclaimer() noexcept { return rec_; }
 
  private:
   struct snode;
@@ -284,12 +271,10 @@ class transfer_stack {
       return reinterpret_cast<item_token>(this);
     }
     bool is_cancelled() const noexcept {
-      SSQ_MO_ACQUIRE_EDGE("snode.xword");
-      return xword.load(SSQ_MO(acquire)) == self_token();
+      return xword.load() == self_token();
     }
     bool cas_next(snode *expected, snode *desired) noexcept {
-      return next.compare_exchange_strong(expected, desired,
-                                          std::memory_order_seq_cst);
+      return next.compare_exchange_strong(expected, desired);
     }
   };
 
@@ -299,11 +284,10 @@ class transfer_stack {
   SSQ_RETURNS_UNPROTECTED
   static snode *freeze_next(snode *n) noexcept {
     for (;;) {
-      snode *raw = n->next.load(std::memory_order_seq_cst);
+      snode *raw = n->next.load();
       if (raw == nullptr) return nullptr;
       if (tagged(raw)) return strip(raw);
-      if (n->next.compare_exchange_weak(raw, with_tag(raw),
-                                        std::memory_order_seq_cst))
+      if (n->next.compare_exchange_weak(raw, with_tag(raw)))
         return raw;
     }
   }
@@ -326,10 +310,10 @@ class transfer_stack {
   SSQ_ACQUIRES_HAZARD
   next_read read_next(snode *x, typename Reclaimer::slot &hz) noexcept {
     for (;;) {
-      snode *raw = x->next.load(std::memory_order_seq_cst);
+      snode *raw = x->next.load();
       hz.set(strip(raw));
       if (tagged(raw)) return {strip(raw), true};
-      if (x->next.load(std::memory_order_seq_cst) == raw) return {raw, false};
+      if (x->next.load() == raw) return {raw, false};
     }
   }
 
@@ -360,17 +344,13 @@ class transfer_stack {
                                 ? reinterpret_cast<item_token>(m)
                                 : m->item;
     item_token expected = empty_token;
-    // seq_cst: the xword CAS is the match linearization point; the label
-    // documents the release side of the snode.xword edge.
-    SSQ_MO_RELEASE_EDGE("snode.xword");
-    if (m->xword.compare_exchange_strong(expected, v,
-                                         std::memory_order_seq_cst)) {
+    // The xword CAS is the match linearization point.
+    if (m->xword.compare_exchange_strong(expected, v)) {
       // Unique winner: report the counterpart into the fulfilling node,
       // then wake the waiter. (Order matters: xword before any pop, so a
       // frozen fulfilling node always implies its xword is set.)
       SSQ_INTERLEAVE("ts.match.mid");
-      SSQ_MO_RELEASE_EDGE("snode.xword");
-      s->xword.store(back, std::memory_order_seq_cst);
+      s->xword.store(back);
       m->slot.signal();
       return true;
     }
@@ -378,8 +358,8 @@ class transfer_stack {
     // m is matched to this same s, but the winner may still be between its
     // two stores: complete the fulfiller's side (and the wake) on its
     // behalf before reporting the pair poppable.
-    if (s->xword.load(std::memory_order_seq_cst) == empty_token)
-      s->xword.store(back, std::memory_order_seq_cst);
+    if (s->xword.load() == empty_token)
+      s->xword.store(back);
     m->slot.signal();
     return true;
   }
@@ -405,21 +385,19 @@ class transfer_stack {
     typename Reclaimer::slot hz(rec_);
     snode *m;
     for (;;) {
-      snode *raw = top->next.load(std::memory_order_seq_cst);
+      snode *raw = top->next.load();
       m = strip(raw);
       hz.set(m);
-      if (head_.value.load(std::memory_order_seq_cst) != top)
+      if (head_.value.load() != top)
         return; // popped or retracted elsewhere; that thread retires
       if (raw == nullptr) break; // terminal: nothing is inserted below
       if (tagged(raw)) break;    // already frozen: value final, m protected
-      if (top->next.compare_exchange_strong(raw, with_tag(raw),
-                                            std::memory_order_seq_cst))
+      if (top->next.compare_exchange_strong(raw, with_tag(raw)))
         break;
     }
     snode *mn = m ? freeze_next(m) : nullptr;
     snode *expected = top;
-    if (head_.value.compare_exchange_strong(expected, mn,
-                                            std::memory_order_seq_cst)) {
+    if (head_.value.compare_exchange_strong(expected, mn)) {
       if (top->life.mark_unlinked()) rec_retire(top);
       if (m && m->life.mark_unlinked()) rec_retire(m);
     }
@@ -429,8 +407,7 @@ class transfer_stack {
   void pop_head(snode *h) {
     snode *hn = freeze_next(h);
     snode *expected = h;
-    if (head_.value.compare_exchange_strong(expected, hn,
-                                            std::memory_order_seq_cst)) {
+    if (head_.value.compare_exchange_strong(expected, hn)) {
       if (h->life.mark_unlinked()) rec_retire(h);
     }
   }
@@ -442,8 +419,7 @@ class transfer_stack {
     if (h_dying || h->life.is_unlinked()) return; // pop already in flight
     if (m == nullptr) {
       snode *expected = h;
-      if (head_.value.compare_exchange_strong(expected, nullptr,
-                                              std::memory_order_seq_cst)) {
+      if (head_.value.compare_exchange_strong(expected, nullptr)) {
         if (h->life.mark_unlinked()) rec_retire(h);
       }
       return;
@@ -465,10 +441,7 @@ class transfer_stack {
   // Wait for our xword to change; cancel on timeout/interrupt.
   item_token await_fulfill(snode *s, deadline dl,
                            sync::interrupt_token *tok) {
-    auto done = [&] {
-      SSQ_MO_ACQUIRE_EDGE("snode.xword");
-      return s->xword.load(SSQ_MO(acquire)) != empty_token;
-    };
+    auto done = [&] { return s->xword.load() != empty_token; };
     auto at_front = [&] {
       // Next in line: on top, the next counterpart pushes the fulfiller that
       // matches us; under a fulfilling head, a match is already draining the
@@ -483,11 +456,9 @@ class transfer_stack {
     if (r != sync::park_slot::wait_result::woken) {
       SSQ_INTERLEAVE("ts.cancel.cas");
       item_token expected = empty_token;
-      s->xword.compare_exchange_strong(expected, s->self_token(),
-                                       std::memory_order_seq_cst);
+      s->xword.compare_exchange_strong(expected, s->self_token());
     }
-    SSQ_MO_ACQUIRE_EDGE("snode.xword");
-    return s->xword.load(SSQ_MO(acquire));
+    return s->xword.load();
   }
 
   // Unlink cancelled nodes at and around s (JDK SNode::clean, minus the
@@ -498,8 +469,7 @@ class transfer_stack {
     SSQ_INTERLEAVE("ts.clean");
     typename Reclaimer::slot hz_p(rec_), hz_q(rec_);
 
-    SSQ_MO_JUSTIFIED("acquire: value used for pointer comparison only");
-    snode *past = strip(s->next.load(SSQ_MO(acquire))); // cmp-only
+    snode *past = strip(s->next.load()); // cmp-only
 
     // Absorb cancelled prefix.
     snode *p;

@@ -212,16 +212,6 @@ struct basic_hp_reclaimer {
                 Alloc::template deleter<Node>());
   }
 
-  // Whole-segment retirement (core/segment_queue.hpp): identical to retire
-  // except for the accounting -- a segment is one reclaimer transaction
-  // covering 64 cells, and the seg_retire counter is what the ablation
-  // bench reads to show the 64:1 retire-traffic reduction.
-  template <typename Node>
-  void retire_segment(Node *n) {
-    diag::bump(diag::id::seg_retire);
-    retire(n);
-  }
-
   void register_root(const std::atomic<void *> *root) { dom->add_root(root); }
   void unregister_root(const std::atomic<void *> *root) {
     dom->remove_root(root);
@@ -300,13 +290,6 @@ struct basic_deferred_reclaimer {
       t->next = h;
     } while (!head_.compare_exchange_weak(h, t, std::memory_order_acq_rel,
                                           std::memory_order_acquire));
-  }
-
-  // Segment seam, mirroring basic_hp_reclaimer::retire_segment.
-  template <typename Node>
-  void retire_segment(Node *n) {
-    diag::bump(diag::id::seg_retire);
-    retire(n);
   }
 
   void register_root(const std::atomic<void *> *) noexcept {}

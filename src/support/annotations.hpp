@@ -42,48 +42,19 @@
 //     placed after it on the same line). ssq-lint flags any non-seq_cst
 //     operation without one; the empty string is rejected at compile time.
 //
-//   SSQ_MO(order)
-//     The only approved spelling for a *labeled* relaxed-order argument:
-//     SSQ_MO(release) expands to std::memory_order_release normally and to
-//     std::memory_order_seq_cst when the build defines SSQ_FORCE_SEQ_CST
-//     (the CMake escape hatch that pins every labeled site back to a total
-//     order for differential debugging). ssq-lint reads SSQ_MO(x) as
-//     memory_order_x, so the checks describe the *relaxed* build either way.
-//
-//   SSQ_MO_RELEASE_EDGE("label") / SSQ_MO_ACQUIRE_EDGE("label")
-//     Statement-position markers naming one end of a release/acquire
-//     synchronizes-with edge. The marker binds to the first store/RMW
-//     (release end) or load/RMW (acquire end) of the next statement (or the
-//     same statement when the marker shares its last line). The mo-pairing
-//     check builds a per-atomic-field edge table from these and diagnoses:
-//     an acquire end with no same-label release/fence partner, two ends of
-//     one label on different fields, a relaxed RMW participating in a
-//     labeled edge, and relaxed re-reads of a field some release edge
-//     publishes. An edge marker also counts as the SSQ_MO_JUSTIFIED
-//     justification for its statement -- the label IS the justification,
-//     and unlike a free-text reason it is checked for a partner.
-//
-//   SSQ_MO_FENCE_EDGE("label")
-//     Same, for std::atomic_thread_fence sites. A fence end satisfies the
-//     release side of any same-label acquire end (fence-based publication),
-//     and is exempt from the same-field rule (fences have no field).
-//
 //   SSQ_CELL_STATE_FIELD
 //     On the atomic word of a waiter cell that runs the segmented-core
 //     state machine (core/segment_queue.hpp). Every store/CAS/exchange of
 //     such a field must be annotated with the edge it takes.
 //
-//   SSQ_CELL_TRANSITION(from, to, "edge-label")
+//   SSQ_CELL_TRANSITION(from, to)
 //     Statement-position marker naming the cell-state edge taken by the
 //     next statement's (or the same line's) mutation of an
-//     SSQ_CELL_STATE_FIELD word, plus the release/acquire edge label that
-//     orders the transition (the third argument must match an
-//     SSQ_MO_*_EDGE label declared in the same file). ssq-lint validates
-//     the edge against the legal transition relation (EMPTY -> WAITER/
-//     RESERVED/POISONED, WAITER -> MATCHED/POISONED, RESERVED -> CLAIMED/
-//     POISONED, CLAIMED -> MATCHED/POISONED) and flags illegal edges
-//     (e.g. poison-after-match), unannotated mutations, and transitions
-//     whose ordering edge is missing or names no declared edge.
+//     SSQ_CELL_STATE_FIELD word. ssq-lint validates the edge against the
+//     legal transition relation (EMPTY -> WAITER/RESERVED/POISONED,
+//     WAITER -> MATCHED/POISONED, RESERVED -> CLAIMED/POISONED,
+//     CLAIMED -> MATCHED/POISONED) and flags illegal edges (e.g.
+//     poison-after-match) and unannotated mutations.
 //
 // Escape hatch (checked, never free): a comment of the form
 //     // ssq-lint: suppress(<check>) -- <justification>
@@ -108,33 +79,14 @@
 #define SSQ_MO_JUSTIFIED(reason) \
   static_assert(sizeof(reason) > 1, "SSQ_MO_JUSTIFIED needs a justification")
 
-// One end of a labeled synchronizes-with edge (see the vocabulary comment).
-#define SSQ_MO_RELEASE_EDGE(label) \
-  static_assert(sizeof(label) > 1, "SSQ_MO_RELEASE_EDGE needs an edge label")
-#define SSQ_MO_ACQUIRE_EDGE(label) \
-  static_assert(sizeof(label) > 1, "SSQ_MO_ACQUIRE_EDGE needs an edge label")
-#define SSQ_MO_FENCE_EDGE(label) \
-  static_assert(sizeof(label) > 1, "SSQ_MO_FENCE_EDGE needs an edge label")
-
-// The order argument of every labeled site. SSQ_FORCE_SEQ_CST (CMake
-// option) pins all of them back to a total order at once; nothing else in
-// the source changes, so a suspected weak-memory bug can be bisected to
-// "ordering" vs "logic" by flipping one switch.
-#if defined(SSQ_FORCE_SEQ_CST)
-#define SSQ_MO(order) ::std::memory_order_seq_cst
-// Human-readable build-mode tag; benches stamp it into their JSON meta so a
-// snapshot records which side of the differential it came from.
-#define SSQ_MEMORY_ORDER_MODE "seq_cst_forced"
-#else
-#define SSQ_MO(order) ::std::memory_order_##order
-#define SSQ_MEMORY_ORDER_MODE "relaxed_audited"
-#endif
+// Human-readable memory-order tag that the benches stamp into their host
+// record: every core order but the fill stores is seq_cst
+// (docs/memory_model.md).
+#define SSQ_MEMORY_ORDER_MODE "seq_cst"
 
 // Pure marker for ssq-lint; the static_assert only pins that both states
-// and the ordering-edge label were spelled (stringized/sized non-empty) so
-// a bare SSQ_CELL_TRANSITION(,,) fails to compile. Edge legality is the
-// linter's job, not the compiler's.
-#define SSQ_CELL_TRANSITION(from, to, edge)                                  \
-  static_assert(sizeof(#from) > 1 && sizeof(#to) > 1 && sizeof(edge) > 1,    \
-                "SSQ_CELL_TRANSITION needs two named states and an ordering " \
-                "edge")
+// were spelled, so a bare SSQ_CELL_TRANSITION(,) fails to compile. Edge
+// legality is the linter's job, not the compiler's.
+#define SSQ_CELL_TRANSITION(from, to)                                 \
+  static_assert(sizeof(#from) > 1 && sizeof(#to) > 1,                 \
+                "SSQ_CELL_TRANSITION needs two named states")

@@ -36,14 +36,9 @@
 // finished episode never leaves `armed` behind: a late same-episode
 // signal() then needs no futex syscall at all.
 //
-// Memory-order discipline (docs/memory_model.md): prepare()'s arming CAS
-// and signal()'s initial read + CAS form a store-load Dekker (the missed-
-// wakeup argument above) and stay seq_cst, as do disarm() and reset()
-// (episode boundaries raced by straggler signals). What relaxes is the
-// waiter/observer side, paired as the labeled edge `park.signal`: the
-// signal CAS is the release end; wait()'s post-futex re-read and
-// was_signalled() acquire it. Diagnostic observers read relaxed. Weakened
-// orders are spelled SSQ_MO(...) so -DSSQ_FORCE_SEQ_CST pins the file.
+// Memory orders (docs/memory_model.md): every operation on the state word
+// is seq_cst. prepare()'s arming CAS and signal()'s initial read + CAS form
+// a store-load Dekker (the missed-wakeup argument above).
 #pragma once
 
 #include <atomic>
@@ -88,11 +83,9 @@ class park_slot {
   // delivery. A blind store to `armed` would consume-and-erase that one
   // wake, deadlocking waiters whose fulfiller signals exactly once.
   void prepare() noexcept {
-    std::uint32_t w = state_.load(std::memory_order_seq_cst);
+    std::uint32_t w = state_.load();
     while (phase_of(w) != signalled) {
-      if (state_.compare_exchange_weak(w, gen_of(w) | armed,
-                                       std::memory_order_seq_cst))
-        return;
+      if (state_.compare_exchange_weak(w, gen_of(w) | armed)) return;
     }
   }
 
@@ -104,10 +97,7 @@ class park_slot {
   wait_result wait(deadline dl, interrupt_token *tok = nullptr) noexcept {
     if (tok && tok->interrupted()) return wait_result::interrupted;
     diag::bump(diag::id::park);
-    SSQ_MO_JUSTIFIED("relaxed: owner-only read of this thread's own "
-                     "prepare(); the episode word cannot change gen here");
-    const std::uint32_t armed_word =
-        gen_of(state_.load(SSQ_MO(relaxed))) | armed;
+    const std::uint32_t armed_word = gen_of(state_.load()) | armed;
     for (;;) {
       deadline chunk = dl;
       if (tok) {
@@ -117,9 +107,7 @@ class park_slot {
       }
       futex_result r = futex_wait(&state_, armed_word, chunk);
       if (tok && tok->interrupted()) return wait_result::interrupted;
-      SSQ_MO_ACQUIRE_EDGE("park.signal");
-      if (state_.load(SSQ_MO(acquire)) != armed_word)
-        return wait_result::woken;
+      if (state_.load() != armed_word) return wait_result::woken;
       if (r == futex_result::timeout) {
         if (dl.expired_now()) return wait_result::timeout;
         continue; // only the interrupt-poll chunk expired
@@ -137,16 +125,13 @@ class park_slot {
   // touching the new episode.
   void signal() noexcept {
     SSQ_INTERLEAVE("park.signal");
-    std::uint32_t w = state_.load(std::memory_order_seq_cst);
+    std::uint32_t w = state_.load();
     for (;;) {
       if (phase_of(w) == signalled) return;
       std::uint32_t observed = w;
-      // seq_cst: the signalling CAS is the fulfiller's half of the Dekker
-      // with prepare(); the label documents the release side of the
-      // park.signal edge the waiter's re-read acquires.
-      SSQ_MO_RELEASE_EDGE("park.signal");
-      if (state_.compare_exchange_strong(w, gen_of(observed) | signalled,
-                                         std::memory_order_seq_cst)) {
+      // The signalling CAS is the fulfiller's half of the Dekker with
+      // prepare().
+      if (state_.compare_exchange_strong(w, gen_of(observed) | signalled)) {
         if (phase_of(observed) == armed) {
           diag::bump(diag::id::unpark);
           futex_wake_all(&state_);
@@ -166,11 +151,9 @@ class park_slot {
   // signal() intact: returns true iff a signal won the race, so the slot
   // ends this episode idle or signalled, never armed.
   bool disarm() noexcept {
-    std::uint32_t w = state_.load(std::memory_order_seq_cst);
+    std::uint32_t w = state_.load();
     while (phase_of(w) == armed) {
-      if (state_.compare_exchange_weak(w, gen_of(w) | idle,
-                                       std::memory_order_seq_cst))
-        return false;
+      if (state_.compare_exchange_weak(w, gen_of(w) | idle)) return false;
     }
     return phase_of(w) == signalled;
   }
@@ -181,23 +164,20 @@ class park_slot {
   // do). Bumps the episode generation: a straggling signal() from the
   // previous episode can no longer mark the new one signalled.
   void reset() noexcept {
-    std::uint32_t w = state_.load(std::memory_order_seq_cst);
-    state_.store(gen_of(w) + gen_step, std::memory_order_seq_cst);
+    std::uint32_t w = state_.load();
+    state_.store(gen_of(w) + gen_step);
   }
 
   bool was_signalled() const noexcept {
-    SSQ_MO_ACQUIRE_EDGE("park.signal");
-    return phase_of(state_.load(SSQ_MO(acquire))) == signalled;
+    return phase_of(state_.load()) == signalled;
   }
 
   // Test/diagnostic observers.
   bool is_armed() const noexcept {
-    SSQ_MO_JUSTIFIED("relaxed: diagnostic observer, racy by contract");
-    return phase_of(state_.load(SSQ_MO(relaxed))) == armed;
+    return phase_of(state_.load()) == armed;
   }
   std::uint32_t episode() const noexcept {
-    SSQ_MO_JUSTIFIED("relaxed: diagnostic observer, racy by contract");
-    return gen_of(state_.load(SSQ_MO(relaxed))) / gen_step;
+    return gen_of(state_.load()) / gen_step;
   }
 
  private:

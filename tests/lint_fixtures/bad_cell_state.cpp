@@ -5,9 +5,7 @@
 //      observed twice (illegal poison-after-match)
 //   2. a mutation of an SSQ_CELL_STATE_FIELD with no adjacent
 //      SSQ_CELL_TRANSITION marker at all
-//   3. a properly annotated install CAS naming its ordering edge (third
-//      SSQ_CELL_TRANSITION argument) -- must NOT be reported
-//   4. a legacy two-argument transition that names no ordering edge
+//   3. a properly annotated install CAS -- must NOT be reported
 #include <atomic>
 #include <cstdint>
 
@@ -29,8 +27,7 @@ class cell_ops {
  public:
   bool install_waiter(cell &c) noexcept {
     std::uintptr_t st = cell_empty;
-    SSQ_CELL_TRANSITION(cell_empty, cell_waiter, "cell.publish");
-    SSQ_MO_RELEASE_EDGE("cell.publish");
+    SSQ_CELL_TRANSITION(cell_empty, cell_waiter);
     return c.state.compare_exchange_strong(st, cell_waiter);
   }
 
@@ -42,12 +39,6 @@ class cell_ops {
   bool silent_poison(cell &c) noexcept {
     std::uintptr_t st = cell_waiter;
     return c.state.compare_exchange_strong(st, cell_poisoned);
-  }
-
-  bool unlabeled_install(cell &c) noexcept {
-    std::uintptr_t st = cell_empty;
-    SSQ_CELL_TRANSITION(cell_empty, cell_waiter);
-    return c.state.compare_exchange_strong(st, cell_waiter);
   }
 };
 

@@ -1,7 +1,7 @@
 // ssq-lint fixture: the macro-expansion pre-pass. The violation lives in a
 // project #define body; the frontend must expand the macro at its use site
 // and re-stamp the diagnostic onto the use-site line, not the #define.
-//   1. a relaxed CAS under a release edge, both hidden inside FIX_CLAIM --
+//   1. a relaxed CAS with no SSQ_MO_JUSTIFIED, hidden inside FIX_CLAIM --
 //      reported at the FIX_CLAIM(word_) call line
 //   2. the same macro body reached through one level of nesting
 //      (FIX_CLAIM_TWICE) -- reported at the nested use line
@@ -10,7 +10,6 @@
 #include "../../src/support/annotations.hpp"
 
 #define FIX_CLAIM(word)                                                     \
-  SSQ_MO_RELEASE_EDGE("macro.word");                                        \
   (void)word.compare_exchange_strong(expected, 1, std::memory_order_relaxed)
 
 #define FIX_CLAIM_TWICE(word)                                               \

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,8 +12,16 @@
 #include "baselines/hanson_sq.hpp"
 #include "baselines/java5_sq.hpp"
 #include "baselines/naive_sq.hpp"
+#include "support/diagnostics.hpp"
 
 using namespace ssq;
+
+// Yield until `n` more threads than at `base` have parked. java5_sq links a
+// waiter into its list under the lock before the waiter can park, so a
+// parked count orders the waiters without guessing at sleep lengths.
+static void await_parked(std::uint64_t base, std::uint64_t n) {
+  while (diag::read(diag::id::park) < base + n) std::this_thread::yield();
+}
 
 // Shared battery run against each baseline via small wrappers.
 template <typename Q>
@@ -195,9 +204,9 @@ TEST(Java5, OfferAndPollNonBlocking) {
 TEST(Java5, OfferSucceedsWithWaitingConsumer) {
   j5_fair q;
   std::atomic<int> got{-1};
+  const std::uint64_t parked = diag::read(diag::id::park);
   std::thread c([&] { got.store(*q.poll(deadline::in(std::chrono::seconds(10)))); });
-  // Let the consumer park.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  await_parked(parked, 1);
   EXPECT_TRUE(q.offer(5));
   c.join();
   EXPECT_EQ(got.load(), 5);
@@ -247,15 +256,11 @@ TEST(Java5Fair, FifoServiceOrder) {
   // Consumers C1, C2 wait in order; producers must serve C1 first.
   j5_fair q;
   std::atomic<int> r1{-1}, r2{-1};
-  std::atomic<int> started{0};
-  std::thread c1([&] {
-    started.fetch_add(1);
-    r1.store(q.take());
-  });
-  while (started.load() < 1) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(30)); // c1 parked
+  const std::uint64_t parked = diag::read(diag::id::park);
+  std::thread c1([&] { r1.store(q.take()); });
+  await_parked(parked, 1);
   std::thread c2([&] { r2.store(q.take()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30)); // c2 parked
+  await_parked(parked, 2);
   q.put(1);
   c1.join();
   EXPECT_EQ(r1.load(), 1) << "fair mode must serve the oldest waiter";
@@ -269,10 +274,11 @@ TEST(Java5Unfair, LifoTendency) {
   // first.
   j5_unfair q;
   std::atomic<int> r1{-1}, r2{-1};
+  const std::uint64_t parked = diag::read(diag::id::park);
   std::thread c1([&] { r1.store(q.take()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  await_parked(parked, 1);
   std::thread c2([&] { r2.store(q.take()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  await_parked(parked, 2);
   q.put(1); // should go to c2 (top of stack)
   q.put(2);
   c1.join();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,6 +77,40 @@ TEST(DualQueueBasic, Conservation3x3) {
       for (int i = 0; i < per; ++i) out.fetch_add(q.dequeue());
     });
   for (auto &t : ts) t.join();
+  EXPECT_EQ(in.load(), out.load());
+  EXPECT_TRUE(q.is_empty());
+}
+
+// is_empty() reads the head dummy, which a dequeue retires once head_
+// moves past it, so the read must hold a hazard on it. Under ASan a read
+// of a dummy already recycled through the node pool reports
+// use-after-poison.
+TEST(DualQueueBasic, IsEmptyRacesDummyRetirement) {
+  dual_queue_basic<int> q;
+  std::atomic<bool> stop{false};
+  std::thread observer([&] {
+    while (!stop.load()) (void)q.is_empty();
+  });
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+  std::vector<std::thread> ts;
+  std::atomic<long> in{0}, out{0};
+  for (int pair = 0; pair < 2; ++pair) {
+    ts.emplace_back([&] {
+      for (int i = 1; i <= 400000; ++i) {
+        if ((i & 1023) == 0 && std::chrono::steady_clock::now() > until) break;
+        q.enqueue(i);
+        in.fetch_add(i);
+      }
+      q.enqueue(-1); // one stop value per consumer
+    });
+    ts.emplace_back([&] {
+      for (int v; (v = q.dequeue()) != -1;) out.fetch_add(v);
+    });
+  }
+  for (auto &t : ts) t.join();
+  stop.store(true);
+  observer.join();
   EXPECT_EQ(in.load(), out.load());
   EXPECT_TRUE(q.is_empty());
 }

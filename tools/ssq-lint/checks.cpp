@@ -1,4 +1,4 @@
-// The four checks, run over a FileModel (frontend-independent).
+// The checks, run over a FileModel (frontend-independent).
 //
 // Custody model (checks 1+2). Each local node pointer is in one state:
 //   CallerProt -- function parameter: the caller established protection
@@ -36,8 +36,8 @@ namespace {
 
 const char *kCheckNames[] = {"hazard-coverage",    "reread-after-drop",
                              "park-episode",       "mo-unjustified",
-                             "mo-relaxed-control", "mo-pairing",
-                             "cell-state",         "bad-suppression"};
+                             "mo-relaxed-control", "cell-state",
+                             "bad-suppression"};
 
 bool known_check(const std::string &s) {
   for (const char *c : kCheckNames)
@@ -48,23 +48,11 @@ bool known_check(const std::string &s) {
 bool tok_is(const Token &t, const char *s) { return t.text == s; }
 bool is_id(const Token &t) { return t.kind == Token::Kind::Ident; }
 
-// Memory-order spelling at toks[k]: either a bare memory_order_X identifier
-// or the approved macro spelling SSQ_MO ( X ). Returns the order name
-// ("release", "seq_cst", ...) or "" when toks[k] starts neither; *len is
-// the number of tokens the spelling occupies.
-std::string mo_spelling(const std::vector<Token> &toks, std::size_t k,
-                        std::size_t *len) {
-  *len = 1;
-  if (!is_id(toks[k])) return "";
-  if (toks[k].text.rfind("memory_order_", 0) == 0)
-    return toks[k].text.substr(13);
-  if (toks[k].text == "SSQ_MO" && k + 3 < toks.size() &&
-      tok_is(toks[k + 1], "(") && is_id(toks[k + 2]) &&
-      tok_is(toks[k + 3], ")")) {
-    *len = 4;
-    return toks[k + 2].text;
-  }
-  return "";
+// Memory-order spelling: the order name of a memory_order_X token
+// ("relaxed", "seq_cst", ...), or "" for any other token.
+std::string mo_spelling(const Token &t) {
+  if (!is_id(t) || t.text.rfind("memory_order_", 0) != 0) return "";
+  return t.text.substr(13);
 }
 
 std::string basename_of(const std::string &path) {
@@ -833,8 +821,7 @@ struct ParkSim {
 // run of marker statements, and the previous sibling when the marker run
 // starts on that statement's last source line.
 bool is_justifier_name(const std::string &s) {
-  return s == "SSQ_MO_JUSTIFIED" || s == "SSQ_MO_RELEASE_EDGE" ||
-         s == "SSQ_MO_ACQUIRE_EDGE" || s == "SSQ_MO_FENCE_EDGE";
+  return s == "SSQ_MO_JUSTIFIED";
 }
 bool is_marker_name(const std::string &s) {
   return is_justifier_name(s) || s == "SSQ_CELL_TRANSITION";
@@ -894,15 +881,10 @@ struct MoCheck {
   std::set<std::string> seen; // line+check dedupe
 
   void scan_ops(const std::vector<Token> &toks, bool justified, bool in_cond) {
-    for (std::size_t k = 0; k < toks.size();) {
-      std::size_t len = 1;
-      std::string order = mo_spelling(toks, k, &len);
-      if (order.empty() || order == "seq_cst" || justified) {
-        k += len;
-        continue;
-      }
-      int line = toks[k].line;
-      k += len;
+    for (const Token &t : toks) {
+      std::string order = mo_spelling(t);
+      if (order.empty() || order == "seq_cst" || justified) continue;
+      int line = t.line;
       bool control = in_cond && order == "relaxed";
       const char *check = control ? "mo-relaxed-control" : "mo-unjustified";
       if (control ? sup_control : sup_unjust) continue;
@@ -1002,289 +984,6 @@ struct CellCheck {
   }
 };
 
-// --------------------------------------------------------- mo-pairing check
-
-// One atomic operation recovered from a token stream: FIELD . METHOD ( ...
-// [order] ... ) or std::atomic_thread_fence(order). The order defaults to
-// seq_cst when no explicit argument is spelled; for compare_exchange the
-// first (success) order is taken.
-struct AtomicOp {
-  std::string field, method, order;
-  int line = 0;
-  bool is_load = false, is_store = false, is_rmw = false, is_fence = false;
-};
-
-bool is_atomic_method(const std::string &s) {
-  return s == "load" || s == "store" || s == "exchange" ||
-         s == "compare_exchange_strong" || s == "compare_exchange_weak" ||
-         s == "fetch_add" || s == "fetch_sub" || s == "fetch_or" ||
-         s == "fetch_and" || s == "fetch_xor";
-}
-
-void extract_ops(const std::vector<Token> &toks, std::vector<AtomicOp> &out) {
-  for (std::size_t k = 0; k < toks.size(); ++k) {
-    AtomicOp op;
-    std::size_t open;
-    if (is_id(toks[k]) && toks[k].text == "atomic_thread_fence" &&
-        k + 1 < toks.size() && tok_is(toks[k + 1], "(")) {
-      op.field = "<fence>";
-      op.method = "atomic_thread_fence";
-      op.is_fence = true;
-      op.line = toks[k].line;
-      open = k + 1;
-    } else if (k + 3 < toks.size() && is_id(toks[k]) &&
-               tok_is(toks[k + 1], ".") && is_id(toks[k + 2]) &&
-               is_atomic_method(toks[k + 2].text) &&
-               tok_is(toks[k + 3], "(")) {
-      op.field = toks[k].text;
-      op.method = toks[k + 2].text;
-      op.is_load = op.method == "load";
-      op.is_store = op.method == "store";
-      op.is_rmw = !op.is_load && !op.is_store;
-      op.line = toks[k].line;
-      open = k + 3;
-    } else {
-      continue;
-    }
-    // Scan the balanced argument list for the first order spelling.
-    int depth = 0;
-    op.order = "seq_cst";
-    std::size_t j = open;
-    for (; j < toks.size(); ++j) {
-      if (tok_is(toks[j], "(")) { ++depth; continue; }
-      if (tok_is(toks[j], ")") && --depth == 0) break;
-      std::size_t len = 1;
-      std::string o = mo_spelling(toks, j, &len);
-      if (!o.empty()) {
-        op.order = o;
-        break;
-      }
-    }
-    out.push_back(std::move(op));
-    k = open; // continue after the opener; nested ops still found
-  }
-}
-
-// Edge markers recovered from a token stream (statement-inline form).
-void extract_edges(const std::vector<Token> &toks, std::vector<MoEdge> &out) {
-  for (std::size_t k = 0; k + 3 < toks.size(); ++k) {
-    if (!is_id(toks[k])) continue;
-    MoEdge::Kind kind;
-    if (toks[k].text == "SSQ_MO_RELEASE_EDGE") kind = MoEdge::Kind::Release;
-    else if (toks[k].text == "SSQ_MO_ACQUIRE_EDGE") kind = MoEdge::Kind::Acquire;
-    else if (toks[k].text == "SSQ_MO_FENCE_EDGE") kind = MoEdge::Kind::Fence;
-    else continue;
-    if (!tok_is(toks[k + 1], "(") ||
-        toks[k + 2].kind != Token::Kind::String || !tok_is(toks[k + 3], ")"))
-      continue;
-    std::string label = toks[k + 2].text;
-    if (label.size() >= 2) label = label.substr(1, label.size() - 2);
-    out.push_back({toks[k].line, kind, label});
-  }
-}
-
-const char *edge_kind_name(MoEdge::Kind k) {
-  switch (k) {
-    case MoEdge::Kind::Release: return "release";
-    case MoEdge::Kind::Acquire: return "acquire";
-    default: return "fence";
-  }
-}
-
-// An edge marker bound to the atomic operation it annotates.
-struct BoundEdge {
-  MoEdge edge;
-  AtomicOp op;
-  const Function *fn = nullptr;
-};
-
-// Cross-site release/acquire pairing analysis. Walks every (non-ctor)
-// function, binds each SSQ_MO_*_EDGE marker to the first kind-compatible
-// atomic operation of the statement it covers (statement-extent rules,
-// same as justification), then checks the per-label edge table:
-//   * binding failures: a marker covering no statement, or a statement with
-//     no operation the edge kind can attach to;
-//   * order sanity at each end (release in {release,acq_rel,seq_cst},
-//     acquire in {acquire,acq_rel,seq_cst}), with relaxed RMWs on a labeled
-//     edge called out specifically;
-//   * an acquire end with no same-label release or fence partner;
-//   * non-fence ends of one label naming different fields;
-//   * relaxed re-reads of any field some release edge publishes, outside
-//     statements covered by a justifier marker.
-struct MoPairing {
-  const FileModel &M;
-  const std::vector<Suppression> &sups;
-  std::vector<Diagnostic> &diags;
-
-  std::vector<BoundEdge> bound;
-  std::set<std::string> published; // fields with a bound release-store end
-  std::set<std::string> seen;      // line|message dedupe
-
-  const Function *fn = nullptr; // function being walked
-  bool sup = false;             // mo-pairing suppressed for that function
-
-  void report(int line, const std::string &msg) {
-    if (sup) return;
-    if (!seen.insert(std::to_string(line) + "|" + msg).second) return;
-    diags.push_back({basename_of(M.path), line, "mo-pairing", msg});
-  }
-
-  static bool release_order_ok(const std::string &o) {
-    return o == "release" || o == "acq_rel" || o == "seq_cst";
-  }
-  static bool acquire_order_ok(const std::string &o) {
-    return o == "acquire" || o == "acq_rel" || o == "seq_cst";
-  }
-
-  void bind(const MoEdge &e, const Stmt &target) {
-    std::vector<AtomicOp> ops;
-    extract_ops(target.cond, ops);
-    extract_ops(target.toks, ops);
-    const AtomicOp *hit = nullptr;
-    for (const AtomicOp &op : ops) {
-      bool compatible = e.kind == MoEdge::Kind::Fence
-                            ? op.is_fence
-                            : (e.kind == MoEdge::Kind::Release
-                                   ? (op.is_store || op.is_rmw)
-                                   : (op.is_load || op.is_rmw));
-      if (compatible) {
-        hit = &op;
-        break;
-      }
-    }
-    if (!hit) {
-      report(e.line, std::string(edge_kind_name(e.kind)) + " edge '" +
-                         e.label + "' binds to no " +
-                         (e.kind == MoEdge::Kind::Fence
-                              ? "atomic_thread_fence"
-                              : (e.kind == MoEdge::Kind::Release
-                                     ? "store/RMW"
-                                     : "load/RMW")) +
-                         " in the statement it covers");
-      return;
-    }
-    // Order sanity at this end.
-    if (hit->order == "relaxed" && hit->is_rmw) {
-      report(hit->line, "relaxed RMW " + hit->field + "." + hit->method +
-                            " participates in labeled edge '" + e.label +
-                            "'");
-    } else if (e.kind == MoEdge::Kind::Release &&
-               !release_order_ok(hit->order)) {
-      report(hit->line, "release edge '" + e.label + "' bound to a " +
-                            hit->order + " " + hit->method + " of '" +
-                            hit->field + "'");
-    } else if (e.kind == MoEdge::Kind::Acquire &&
-               !acquire_order_ok(hit->order)) {
-      report(hit->line, "acquire edge '" + e.label + "' bound to a " +
-                            hit->order + " " + hit->method + " of '" +
-                            hit->field + "'");
-    }
-    if (e.kind == MoEdge::Kind::Release && !hit->is_fence)
-      published.insert(hit->field);
-    bound.push_back({e, *hit, fn});
-  }
-
-  // The statement a marker run covers: the previous sibling when the run
-  // trails on its last line, otherwise the next non-marker sibling.
-  void walk(const std::vector<Stmt> &list) {
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      const Stmt &s = list[i];
-      if (is_marker_stmt(s)) {
-        std::vector<MoEdge> here;
-        extract_edges(s.toks, here);
-        if (!here.empty()) {
-          const Stmt *target = nullptr;
-          if (i > 0 && !is_marker_stmt(list[i - 1]) &&
-              s.line == last_line(list[i - 1]))
-            target = &list[i - 1];
-          for (std::size_t j = i + 1; !target && j < list.size(); ++j)
-            if (!is_marker_stmt(list[j])) target = &list[j];
-          for (const MoEdge &e : here) {
-            if (target) bind(e, *target);
-            else
-              report(e.line, std::string(edge_kind_name(e.kind)) + " edge '" +
-                                 e.label + "' covers no statement");
-          }
-        }
-      } else {
-        // Statement-inline markers (markers inside lambda bodies or
-        // conditions swallowed into one statement) bind to that statement.
-        std::vector<MoEdge> inline_edges;
-        extract_edges(s.toks, inline_edges);
-        extract_edges(s.cond, inline_edges);
-        for (const MoEdge &e : inline_edges) bind(e, s);
-      }
-      walk(s.body);
-      walk(s.else_body);
-    }
-  }
-
-  // Relaxed re-read scan: any relaxed load of a published field outside a
-  // justifier-covered statement. Runs after every edge is bound.
-  void scan_rereads(const std::vector<Stmt> &list) {
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      const Stmt &s = list[i];
-      if (!covered_by_marker(list, i, is_justifier_stmt, is_justifier_name)) {
-        std::vector<AtomicOp> ops;
-        extract_ops(s.cond, ops);
-        extract_ops(s.toks, ops);
-        for (const AtomicOp &op : ops)
-          if (op.is_load && op.order == "relaxed" && published.count(op.field))
-            report(op.line, "field '" + op.field +
-                                "' published by a release edge is re-read "
-                                "relaxed without an acquire edge or "
-                                "SSQ_MO_JUSTIFIED");
-      }
-      scan_rereads(s.body);
-      scan_rereads(s.else_body);
-    }
-  }
-
-  void run() {
-    for (const Function &f : M.functions) {
-      if (f.is_ctor_dtor) continue;
-      fn = &f;
-      sup = suppressed(f, sups, "mo-pairing");
-      walk(f.body);
-    }
-    // Per-label table checks.
-    std::map<std::string, std::vector<const BoundEdge *>> by_label;
-    for (const BoundEdge &b : bound) by_label[b.edge.label].push_back(&b);
-    for (const auto &kv : by_label) {
-      const auto &ends = kv.second;
-      bool has_release_side = false;
-      for (const BoundEdge *b : ends)
-        if (b->edge.kind != MoEdge::Kind::Acquire) has_release_side = true;
-      const BoundEdge *first_field_end = nullptr;
-      for (const BoundEdge *b : ends) {
-        fn = b->fn;
-        sup = b->fn && suppressed(*b->fn, sups, "mo-pairing");
-        if (b->edge.kind == MoEdge::Kind::Acquire && !has_release_side)
-          report(b->edge.line, "acquire edge '" + kv.first + "' on field '" +
-                                   b->op.field +
-                                   "' has no release or fence partner");
-        if (b->edge.kind == MoEdge::Kind::Fence) continue;
-        if (!first_field_end) {
-          first_field_end = b;
-        } else if (b->op.field != first_field_end->op.field) {
-          report(b->edge.line, "edge '" + kv.first +
-                                   "' ends disagree on field ('" +
-                                   first_field_end->op.field + "' at line " +
-                                   std::to_string(first_field_end->op.line) +
-                                   " vs '" + b->op.field + "')");
-        }
-      }
-    }
-    // Re-read pass.
-    for (const Function &f : M.functions) {
-      if (f.is_ctor_dtor) continue;
-      fn = &f;
-      sup = suppressed(f, sups, "mo-pairing");
-      scan_rereads(f.body);
-    }
-  }
-};
-
 } // namespace
 
 std::vector<Diagnostic> run_checks(const FileModel &model) {
@@ -1341,16 +1040,7 @@ std::vector<Diagnostic> run_checks(const FileModel &model) {
     }
   }
 
-  // Check 6: release/acquire pairing over the labeled edge table.
-  {
-    MoPairing mp{m, sups, diags, {}, {}, {}, nullptr, false};
-    mp.run();
-  }
-
-  // Every marker must name a legal protocol edge and the mo-pairing edge
-  // that orders it, wherever it appears.
-  std::set<std::string> edge_labels;
-  for (const MoEdge &e : m.mo_edges) edge_labels.insert(e.label);
+  // Every marker must name a legal protocol edge, wherever it appears.
   for (const CellTransition &t : m.cell_transitions) {
     bool sup = false;
     for (const Function &f : m.functions)
@@ -1358,24 +1048,10 @@ std::vector<Diagnostic> run_checks(const FileModel &model) {
           suppressed(f, sups, "cell-state"))
         sup = true;
     if (sup) continue;
-    if (!legal_cell_edge(t)) {
+    if (!legal_cell_edge(t))
       diags.push_back({basename_of(m.path), t.line, "cell-state",
                        "illegal cell-state transition " + t.from + " -> " +
                            t.to});
-      continue;
-    }
-    if (t.edge.empty()) {
-      diags.push_back({basename_of(m.path), t.line, "cell-state",
-                       "transition " + t.from + " -> " + t.to +
-                           " does not name the ordering edge that publishes "
-                           "it (third SSQ_CELL_TRANSITION argument)"});
-    } else if (!edge_labels.count(t.edge)) {
-      diags.push_back({basename_of(m.path), t.line, "cell-state",
-                       "transition " + t.from + " -> " + t.to +
-                           " names ordering edge '" + t.edge +
-                           "' but no SSQ_MO_*_EDGE in this file declares "
-                           "it"});
-    }
   }
 
   std::sort(diags.begin(), diags.end());

@@ -17,25 +17,13 @@
 //                          re-pointed or cleared since it was protected
 //   park-episode           a path that can leave a prepared park_slot armed
 //   mo-unjustified         non-seq_cst atomic op without SSQ_MO_JUSTIFIED
-//                          (or a labeled SSQ_MO_*_EDGE marker, which also
-//                          justifies)
 //   mo-relaxed-control     unjustified memory_order_relaxed load feeding a
 //                          branch condition (reported instead of
 //                          mo-unjustified for that op)
-//   mo-pairing             labeled release/acquire edge analysis over the
-//                          per-atomic-field edge table: an acquire end with
-//                          no same-label release/fence partner, two ends of
-//                          one label on different fields, a relaxed RMW on
-//                          a labeled edge, an edge marker binding to no
-//                          atomic operation (or one of the wrong shape),
-//                          and relaxed re-reads of a field some release
-//                          edge publishes
 //   cell-state             mutation of an SSQ_CELL_STATE_FIELD without an
-//                          adjacent SSQ_CELL_TRANSITION marker, a marker
+//                          adjacent SSQ_CELL_TRANSITION marker, or a marker
 //                          naming an edge outside the legal cell protocol
-//                          (core/segment_queue.hpp's state machine), or a
-//                          transition that does not name the declared
-//                          mo-pairing edge ordering it
+//                          (core/segment_queue.hpp's state machine)
 //   bad-suppression        a suppression comment with no justification or
 //                          an unknown check name
 //
@@ -138,21 +126,10 @@ struct Function {
   std::set<std::size_t> deref_params;
 };
 
-// One SSQ_CELL_TRANSITION(from, to, "edge") marker as written in source.
-// `edge` is empty when the marker was written in the legacy two-argument
-// form (itself a cell-state diagnostic).
+// One SSQ_CELL_TRANSITION(from, to) marker as written in source.
 struct CellTransition {
   int line = 0;
   std::string from, to;
-  std::string edge;
-};
-
-// One SSQ_MO_RELEASE_EDGE / SSQ_MO_ACQUIRE_EDGE / SSQ_MO_FENCE_EDGE marker.
-struct MoEdge {
-  enum class Kind { Release, Acquire, Fence };
-  int line = 0;
-  Kind kind = Kind::Release;
-  std::string label;
 };
 
 struct FileModel {
@@ -161,7 +138,6 @@ struct FileModel {
   std::set<std::string> node_types;     // structs owning a guarded field
   std::set<std::string> cell_state_fields; // fields under SSQ_CELL_STATE_FIELD
   std::vector<CellTransition> cell_transitions;
-  std::vector<MoEdge> mo_edges;
   std::vector<Function> functions;
   std::vector<Comment> comments;
   std::set<int> mo_justified_lines; // lines holding an SSQ_MO_JUSTIFIED

@@ -42,45 +42,14 @@ struct Parser {
   }
   bool eof() const { return cur().kind == Token::Kind::Eof; }
 
-  // Record SSQ_CELL_TRANSITION(from, to[, "edge"]) when `i` sits on the
-  // macro name. Lookahead only; the caller's normal token consumption
-  // carries on, so the marker stays visible in the statement stream it
-  // annotates. The legacy two-argument form is recorded with an empty edge
-  // (the cell-state check flags it).
+  // Record SSQ_CELL_TRANSITION(from, to) when `i` sits on the macro name.
+  // Lookahead only; the caller's normal token consumption carries on, so
+  // the marker stays visible in the statement stream it annotates.
   void maybe_transition() {
-    if (!is_ident(cur(), "SSQ_CELL_TRANSITION")) return;
-    if (!(is_punct(at(1), "(") && at(2).kind == Token::Kind::Ident &&
-          is_punct(at(3), ",") && at(4).kind == Token::Kind::Ident))
-      return;
-    if (is_punct(at(5), ")")) {
-      model.cell_transitions.push_back(
-          {cur().line, at(2).text, at(4).text, ""});
-    } else if (is_punct(at(5), ",") && at(6).kind == Token::Kind::String &&
-               is_punct(at(7), ")")) {
-      model.cell_transitions.push_back(
-          {cur().line, at(2).text, at(4).text, unquote(at(6).text)});
-    }
-  }
-
-  // Record SSQ_MO_RELEASE_EDGE / SSQ_MO_ACQUIRE_EDGE / SSQ_MO_FENCE_EDGE
-  // ("label") when `i` sits on the macro name. Lookahead only, like
-  // maybe_transition().
-  void maybe_mo_edge() {
-    if (cur().kind != Token::Kind::Ident) return;
-    MoEdge::Kind kind;
-    if (cur().text == "SSQ_MO_RELEASE_EDGE") kind = MoEdge::Kind::Release;
-    else if (cur().text == "SSQ_MO_ACQUIRE_EDGE") kind = MoEdge::Kind::Acquire;
-    else if (cur().text == "SSQ_MO_FENCE_EDGE") kind = MoEdge::Kind::Fence;
-    else return;
-    if (is_punct(at(1), "(") && at(2).kind == Token::Kind::String &&
-        is_punct(at(3), ")"))
-      model.mo_edges.push_back({cur().line, kind, unquote(at(2).text)});
-  }
-
-  static std::string unquote(const std::string &s) {
-    if (s.size() >= 2 && s.front() == '"' && s.back() == '"')
-      return s.substr(1, s.size() - 2);
-    return s;
+    if (is_ident(cur(), "SSQ_CELL_TRANSITION") && is_punct(at(1), "(") &&
+        at(2).kind == Token::Kind::Ident && is_punct(at(3), ",") &&
+        at(4).kind == Token::Kind::Ident && is_punct(at(5), ")"))
+      model.cell_transitions.push_back({cur().line, at(2).text, at(4).text});
   }
 
   // Skip a balanced group starting at an opener token ('(', '{', '[', '<').
@@ -142,15 +111,6 @@ struct Parser {
         if (tok.text == "SSQ_REQUIRES_EPISODE_RESET") { pend.episode_reset = true; ++i; continue; }
         if (tok.text == "SSQ_MO_JUSTIFIED") {
           model.mo_justified_lines.insert(tok.line);
-          ++i;
-          if (is_punct(cur(), "(")) skip_balanced("(", ")");
-          if (is_punct(cur(), ";")) ++i;
-          continue;
-        }
-        if (tok.text == "SSQ_MO_RELEASE_EDGE" ||
-            tok.text == "SSQ_MO_ACQUIRE_EDGE" ||
-            tok.text == "SSQ_MO_FENCE_EDGE") {
-          maybe_mo_edge();
           ++i;
           if (is_punct(cur(), "(")) skip_balanced("(", ")");
           if (is_punct(cur(), ";")) ++i;
@@ -328,7 +288,6 @@ struct Parser {
       if (is_punct(cur(), open)) ++depth;
       else if (is_punct(cur(), close)) --depth;
       maybe_transition(); // e.g. markers inside a switch body
-      maybe_mo_edge();
       out.push_back(cur());
       ++i;
       if (depth == 0) return;
@@ -599,7 +558,6 @@ struct Parser {
         if (is_ident(cur(), "SSQ_MO_JUSTIFIED"))
           model.mo_justified_lines.insert(cur().line);
         maybe_transition();
-        maybe_mo_edge();
         out.push_back(cur());
       }
       ++i;
@@ -625,7 +583,6 @@ struct Parser {
       if (is_ident(tok, "SSQ_MO_JUSTIFIED"))
         model.mo_justified_lines.insert(tok.line);
       maybe_transition();
-      maybe_mo_edge();
       out.push_back(tok);
       ++i;
     }
