@@ -1,5 +1,5 @@
 // Thread-local node pools: fixed-size-block recycling for dual-structure
-// nodes.
+// nodes and item boxes.
 //
 // Why this exists: every put/take allocates one qnode/snode and every
 // hazard-pointer scan frees a batch of them -- traffic the paper's Java
@@ -10,34 +10,31 @@
 // still warm in cache) and goes back to one, with no global-heap call on
 // the hot path.
 //
-// Architecture (one pool per block size class):
+// Architecture (one immortal pool per block size class, from global_for):
 //
 //   * per-thread magazines -- a LIFO array of free blocks, no
-//     synchronization. Allocation pops; deallocation pushes; half the
-//     magazine spills to the shared side when it fills.
-//   * a bounded global overflow ring -- a fixed-capacity MPMC ring buffer
-//     (Vyukov-style sequence numbers) through which blocks retired on one
-//     thread reach another's magazine. Bounded so a producer/consumer role
-//     imbalance cannot grow an unbounded shared freelist.
-//   * an orphan list -- the mutex-guarded fallback of last resort, written
-//     when the ring is full and at thread exit (a dying thread flushes its
-//     magazines here, mirroring hazard_domain's orphan protocol), adopted
-//     in bulk by the next allocation miss.
+//     synchronization. Allocation pops; deallocation pushes.
+//   * the depot -- one mutex-guarded stack of free blocks shared by every
+//     thread. It takes the half a full magazine spills, an exiting thread's
+//     magazines, and blocks freed by a thread whose cache is gone; an empty
+//     magazine refills from it half a magazine at a time, under one lock.
+//     This is how a block freed on a consumer reaches a producer's
+//     magazine.
 //   * chunks -- blocks are carved `chunk_blocks` at a time from
 //     cache-line-aligned slabs, so adjacent nodes handed to different
-//     thread pairs do not false-share their futex/park words. Chunk memory
-//     is owned by the pool and freed only at pool destruction; individual
-//     blocks are never returned to the heap.
+//     thread pairs do not false-share their futex/park words. Chunks are
+//     never freed, and the pool keeps every one reachable, so leak checkers
+//     see them as live memory.
 //
 // Users: pooled_node_alloc (memory/reclaim.hpp) for dual-structure nodes
 // and segments, and item_codec (support/codec.hpp) for item boxes. Each
 // finds its global size-class pool once per type (global_pool_of).
 //
 // Under AddressSanitizer every block is poisoned while it sits free -- in a
-// magazine, the ring, the orphan list, or freshly carved -- so a stale
-// access to a recycled node or box is reported as use-after-poison instead
-// of passing as silent reuse. Poisoning cannot see an access that comes
-// after the block is handed out again (docs/memory_reclamation.md §7).
+// magazine, the depot, or freshly carved -- so a stale access to a recycled
+// node or box is reported as use-after-poison instead of passing as silent
+// reuse. Poisoning cannot see an access that comes after the block is
+// handed out again (docs/memory_reclamation.md §7).
 //
 // Interaction with hazard pointers: a pooled node is returned to the pool
 // by the *reclaimer's deleter*, i.e. only after a hazard scan has proven no
@@ -47,10 +44,8 @@
 // (see docs/memory_reclamation.md §7).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "support/config.hpp"
@@ -59,54 +54,28 @@ namespace ssq::mem {
 
 class node_pool {
  public:
-  struct config {
-    std::size_t block_size;
-    std::size_t block_align = cacheline_size;
-    std::size_t magazine_cap = 64; // per-thread LIFO depth
-    std::size_t ring_cap = 1024;   // overflow ring (rounded up to 2^k)
-    std::size_t chunk_blocks = 32; // blocks carved per slab
-  };
-
-  explicit node_pool(const config &c);
-  // Precondition (as for hazard_domain): no thread concurrently uses this
-  // pool. Frees every chunk wholesale, including blocks still sitting in
-  // exited threads' flushed magazines.
-  ~node_pool();
-
   node_pool(const node_pool &) = delete;
   node_pool &operator=(const node_pool &) = delete;
 
-  // Pop from this thread's magazine; refill from the ring, then the orphan
-  // list, then a freshly carved chunk.
+  // Pop from this thread's magazine; refill from the depot, else carve a
+  // fresh chunk.
   void *allocate();
 
-  // Push onto this thread's magazine, spilling half to the shared side when
-  // full. Requires a live calling thread (uses thread-local state).
+  // Push onto this thread's magazine, spilling half to the depot when full;
+  // once the thread's cache is gone (thread teardown), push to the depot.
   void deallocate(void *p) noexcept;
-
-  // Return a block without touching thread-local state: overflow ring,
-  // else orphan list. Safe from any context, including thread teardown.
-  void deallocate_remote(void *p) noexcept;
 
   // ------------------------------------------------------------ observers
   std::size_t stride() const noexcept { return stride_; }
-  std::size_t block_align() const noexcept { return align_; }
-  std::size_t magazine_cap() const noexcept { return magazine_cap_; }
-  std::size_t chunk_count() const noexcept {
-    return nchunks_.load(std::memory_order_relaxed);
-  }
-  std::size_t ring_capacity() const noexcept { return ring_mask_ + 1; }
-  std::size_t ring_size() const noexcept; // approximate under concurrency
-  std::size_t orphan_count() const;       // takes the orphan mutex
+  std::size_t chunk_count() const;     // takes the depot lock
+  std::size_t depot_size() const;      // takes the depot lock
   // Blocks currently cached in the calling thread's magazine for this pool.
   std::size_t magazine_size() const noexcept;
-  std::uint64_t uid() const noexcept { return uid_; }
 
-  // The process-wide pool for a (size, align) class. Created on first use
-  // and kept alive through static teardown (late hazard-scan deleters may
-  // still free into it); reachable from the registry, so leak checkers see
-  // it as live memory, not a leak. Takes a mutex: callers look a class up
-  // once (global_pool_of), not per allocation.
+  // The process-wide pool for a (size, align) class, created on first use.
+  // Pools are never destroyed: late hazard-scan deleters may still free into
+  // one during static teardown. Takes a mutex: callers look a class up once
+  // (global_pool_of), not per allocation.
   static node_pool &global_for(std::size_t size, std::size_t align);
 
   // Per-thread magazine cache; defined in node_pool.cpp, public so the
@@ -116,37 +85,25 @@ class node_pool {
  private:
   friend struct tl_cache;
 
-  struct chunk {
-    chunk *next;
-  };
-  struct ring_cell {
-    std::atomic<std::size_t> seq{0};
-    void *ptr = nullptr;
-  };
-  struct orphanage; // mutex + vector, defined in node_pool.cpp
+  node_pool(std::size_t size, std::size_t align);
 
-  bool ring_push(void *p) noexcept;
-  void *ring_pop() noexcept;
-  // Allocate a slab, link it, return one block; the rest go to `mag` (or
-  // the shared side when called without a magazine).
-  void *carve_chunk(std::vector<void *> *mag);
-  // Ring first, then orphans in bulk; nullptr on miss.
+  // Push [first, last) onto the depot under its lock.
+  void to_depot(void *const *first, void *const *last) noexcept;
+  // Take a block from the depot, and up to half a magazine more into `mag`
+  // when there is one; nullptr when the depot is empty.
   void *refill(std::vector<void *> *mag) noexcept;
+  // Allocate a slab and return its first block; the rest go to `mag`, or to
+  // the depot when called without a magazine.
+  void *carve_chunk(std::vector<void *> *mag);
 
-  const std::size_t stride_;
   const std::size_t align_;
+  const std::size_t stride_;
   const std::size_t magazine_cap_;
   const std::size_t chunk_blocks_;
-  const std::uint64_t uid_;
 
-  const std::size_t ring_mask_;
-  std::unique_ptr<ring_cell[]> ring_;
-  alignas(cacheline_size) std::atomic<std::size_t> ring_head_{0};
-  alignas(cacheline_size) std::atomic<std::size_t> ring_tail_{0};
-
-  alignas(cacheline_size) std::atomic<chunk *> chunks_{nullptr};
-  std::atomic<std::size_t> nchunks_{0};
-  orphanage *orphans_;
+  mutable std::mutex mu_;      // guards depot_ and chunks_
+  std::vector<void *> depot_;  // LIFO; capacity covers every carved block
+  std::vector<void *> chunks_; // every slab, kept reachable
 };
 
 // The global pool of T's (size, alignment) class, found once per T. Global

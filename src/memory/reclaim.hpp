@@ -138,9 +138,8 @@ struct heap_node_alloc {
 struct pooled_node_alloc {
   template <typename Node>
   static node_pool &pool() {
-    // Trivial destructibility lets a pool free its chunks wholesale at
-    // destruction without running per-node destructors on blocks still
-    // parked in magazines.
+    // destroy() and the deleter hand the raw block back without a
+    // destructor call, so a node's destructor would never run.
     static_assert(std::is_trivially_destructible_v<Node>,
                   "pooled nodes must be trivially destructible");
     return global_pool_of<Node>();
@@ -160,7 +159,7 @@ struct pooled_node_alloc {
   static auto deleter() noexcept -> void (*)(void *) {
     // Runs inside hazard scans -- possibly during thread or static
     // teardown, after this thread's pool cache is gone; deallocate then
-    // takes the remote path.
+    // pushes the block straight to the pool's depot.
     return [](void *p) { pool<Node>().deallocate(p); };
   }
 };

@@ -40,7 +40,7 @@ enum class id : unsigned {
   clean_unlink, // cancelled nodes successfully unlinked
   cas_fail,     // head/tail/item CAS failures (contention indicator);
                 // segment_queue never bumps it
-  pool_recycle, // node_pool allocations served from magazine/ring/orphans:
+  pool_recycle, // node_pool allocations served from a magazine or the depot:
                 // nodes, segments and item boxes alike
   pool_fresh,   // node_pool allocations that carved a fresh chunk
   seg_alloc,    // segment_queue: 64-cell segments allocated

@@ -156,29 +156,32 @@ TEST(CancellationStorm, SegmentedFullReclamation) {
 }
 
 TEST(CancellationStorm, FacadeSurvivesInterruptStorm) {
-  // Interrupt-heavy variant through the typed facade.
+  // Interrupt-heavy variant through the typed facade. A token stays set once
+  // interrupted, so each interrupt fires a token of its own: worker k % 4
+  // waits under token k until the interrupter fires it, then under k + 4.
   synchronous_queue<int, true> q;
+  constexpr int kInterrupts = 300;
+  std::vector<sync::interrupt_token> toks(kInterrupts);
+  std::atomic<int> live[4] = {0, 1, 2, 3}; // each worker's current token
   std::atomic<bool> stop{false};
-  std::vector<std::unique_ptr<sync::interrupt_token>> toks;
-  for (int i = 0; i < 4; ++i) toks.push_back(std::make_unique<sync::interrupt_token>());
 
   std::vector<std::thread> ts;
   for (int i = 0; i < 4; ++i) {
     ts.emplace_back([&, i] {
       while (!stop.load(std::memory_order_acquire)) {
+        sync::interrupt_token *tok =
+            &toks[static_cast<std::size_t>(live[i].load())];
         if (i % 2)
-          (void)q.try_put(i, deadline::in(std::chrono::milliseconds(5)),
-                          toks[static_cast<std::size_t>(i)].get());
+          (void)q.try_put(i, deadline::in(std::chrono::milliseconds(5)), tok);
         else
-          (void)q.try_take(deadline::in(std::chrono::milliseconds(5)),
-                           toks[static_cast<std::size_t>(i)].get());
-        toks[static_cast<std::size_t>(i)]->consume();
+          (void)q.try_take(deadline::in(std::chrono::milliseconds(5)), tok);
       }
     });
   }
   std::thread interrupter([&] {
-    for (int k = 0; k < 300; ++k) {
-      toks[static_cast<std::size_t>(k % 4)]->interrupt();
+    for (int k = 0; k < kInterrupts; ++k) {
+      toks[static_cast<std::size_t>(k)].interrupt();
+      if (k + 4 < kInterrupts) live[k % 4].store(k + 4);
       std::this_thread::sleep_for(std::chrono::microseconds(300));
     }
     stop.store(true, std::memory_order_release);

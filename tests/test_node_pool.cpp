@@ -1,6 +1,6 @@
-// node_pool unit tests: recycling behavior, alignment, the bounded overflow
-// ring, the thread-exit orphan protocol, and the pool's interleaving with
-// hazard-pointer scans (the ASan CI target).
+// node_pool unit tests: recycling behavior, alignment, the depot's traffic
+// between threads, the thread-exit flush, poisoning of depot blocks, and the
+// pool's interleaving with hazard-pointer scans (the ASan CI target).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,12 +20,11 @@ using mem::node_pool;
 
 namespace {
 
-node_pool::config small_cfg() {
-  node_pool::config c{/*block_size=*/64};
-  c.magazine_cap = 8;
-  c.ring_cap = 16;
-  c.chunk_blocks = 4;
-  return c;
+// Each test takes the global pool of a block size no other code uses, so it
+// starts from a fresh size class. Blocks of 1 KiB or more get an 8-block
+// magazine and 4-block chunks; smaller ones 64 and 32.
+node_pool &fresh_pool(std::size_t size) {
+  return node_pool::global_for(size, cacheline_size);
 }
 
 item_token tok_of(std::uintptr_t v) {
@@ -35,7 +34,7 @@ item_token tok_of(std::uintptr_t v) {
 } // namespace
 
 TEST(NodePool, MagazineIsLifo) {
-  node_pool pool(small_cfg());
+  node_pool &pool = fresh_pool(1025);
   void *a = pool.allocate();
   void *b = pool.allocate();
   ASSERT_NE(a, b);
@@ -49,8 +48,8 @@ TEST(NodePool, MagazineIsLifo) {
 }
 
 TEST(NodePool, BlocksAreCachelineAligned) {
-  node_pool pool(small_cfg());
-  EXPECT_GE(pool.stride(), std::size_t{64});
+  node_pool &pool = fresh_pool(201);
+  EXPECT_GE(pool.stride(), std::size_t{201});
   EXPECT_EQ(pool.stride() % cacheline_size, 0u);
   std::vector<void *> blocks;
   for (int i = 0; i < 16; ++i) blocks.push_back(pool.allocate());
@@ -63,14 +62,14 @@ TEST(NodePool, BlocksAreCachelineAligned) {
 }
 
 TEST(NodePool, CrossThreadRecyclingReusesChunks) {
-  node_pool pool(small_cfg());
+  node_pool &pool = fresh_pool(1026);
   std::vector<void *> blocks;
   for (int i = 0; i < 12; ++i) blocks.push_back(pool.allocate());
   const std::size_t chunks_before = pool.chunk_count();
   ASSERT_GT(chunks_before, 0u);
 
   // Free every block on another thread (consumer-retires-producer's-nodes
-  // pattern); its magazine flushes to the shared side at thread exit.
+  // pattern); its magazine flushes to the depot at thread exit.
   std::thread t([&] {
     for (void *p : blocks) pool.deallocate(p);
   });
@@ -85,34 +84,40 @@ TEST(NodePool, CrossThreadRecyclingReusesChunks) {
   for (void *p : again) pool.deallocate(p);
 }
 
-TEST(NodePool, OverflowRingIsBoundedAndSpillsToOrphans) {
-  node_pool::config c{/*block_size=*/64};
-  c.magazine_cap = 4;
-  c.ring_cap = 4; // tiny: force overflow
-  c.chunk_blocks = 8;
-  node_pool pool(c);
+// fanin's box flow: one thread allocates every block and hands it to a
+// second thread, which frees it. The consumer's magazine spills reach the
+// producer through the depot. After the warm-up the pool holds 256 blocks,
+// and a carve needs the producer's magazine and the depot both empty, that
+// is every block with the consumer: at most 64 in its magazine, one in its
+// hand and one in the slot. So the steady flow carves no chunk.
+TEST(NodePool, CrossThreadFlowCarvesNoChunksInSteadyState) {
+  node_pool &pool = fresh_pool(202);
+  constexpr int kWarm = 256; // four magazines of this class
+  constexpr int kSteady = 100000;
+  std::atomic<void *> slot{nullptr};
+  std::thread consumer([&] {
+    for (int i = 0; i < kWarm + kSteady; ++i) {
+      void *p;
+      while (!(p = slot.exchange(nullptr))) std::this_thread::yield();
+      pool.deallocate(p);
+    }
+  });
+  auto hand_over = [&](void *p) {
+    while (slot.load() != nullptr) std::this_thread::yield();
+    slot.store(p);
+  };
 
-  const std::size_t cap = pool.ring_capacity();
-  std::vector<void *> blocks;
-  for (std::size_t i = 0; i < 3 * cap; ++i) blocks.push_back(pool.allocate());
-  // Remote-free everything (carve leftovers may already sit in the ring):
-  // the ring must stay at capacity and the excess must land in the orphan
-  // list instead of growing the ring.
-  const std::size_t shared_before = pool.ring_size() + pool.orphan_count();
-  for (void *p : blocks) pool.deallocate_remote(p);
-  EXPECT_LE(pool.ring_size(), cap);
-  EXPECT_EQ(pool.ring_size() + pool.orphan_count(),
-            shared_before + blocks.size());
-
-  // And every one of them is adoptable again: re-allocating the same count
-  // must not carve new chunks.
-  const std::size_t chunks_before = pool.chunk_count();
-  for (std::size_t i = 0; i < blocks.size(); ++i) (void)pool.allocate();
-  EXPECT_EQ(pool.chunk_count(), chunks_before);
+  std::vector<void *> warm;
+  for (int i = 0; i < kWarm; ++i) warm.push_back(pool.allocate());
+  const std::size_t chunks = pool.chunk_count();
+  for (void *p : warm) hand_over(p);
+  for (int i = 0; i < kSteady; ++i) hand_over(pool.allocate());
+  consumer.join();
+  EXPECT_EQ(pool.chunk_count(), chunks);
 }
 
 TEST(NodePool, ThreadExitFlushesMagazinesForAdoption) {
-  node_pool pool(small_cfg());
+  node_pool &pool = fresh_pool(1027);
   std::set<void *> freed_by_thread;
   std::thread t([&] {
     // Allocate and free entirely within the thread: the blocks end up in
@@ -126,8 +131,8 @@ TEST(NodePool, ThreadExitFlushesMagazinesForAdoption) {
   });
   t.join();
 
-  // The exited thread's blocks are now in the ring/orphan list; this
-  // thread's allocations adopt them before carving anything new.
+  // The exited thread's blocks are now in the depot; this thread's
+  // allocations adopt them before carving anything new.
   const std::size_t chunks_before = pool.chunk_count();
   std::vector<void *> got;
   bool adopted = false;
@@ -145,13 +150,16 @@ namespace {
 struct node64 {
   unsigned char bytes[64];
 };
+struct late_node {
+  unsigned char bytes[1028];
+};
 
 // Frees its block through the pooled deleter from a thread_local
 // destructor that runs after the thread's pool cache is torn down.
 struct late_free {
   void *block = nullptr;
   ~late_free() {
-    if (block) mem::pooled_node_alloc::deleter<node64>()(block);
+    if (block) mem::pooled_node_alloc::deleter<late_node>()(block);
   }
 };
 } // namespace
@@ -171,24 +179,24 @@ TEST(NodePool, GlobalPoolsAreSharedPerSizeClass) {
 }
 
 TEST(NodePool, DeleterWorksAfterTheThreadCacheIsGone) {
-  node_pool &a = mem::pooled_node_alloc::pool<node64>();
-  std::size_t shared_before = 0, flushed = 0;
+  node_pool &a = mem::pooled_node_alloc::pool<late_node>();
+  std::size_t depot_before = 0, flushed = 0;
   std::thread t([&] {
     thread_local late_free lf; // constructed before the pool cache
     lf.block = a.allocate();
     flushed = a.magazine_size();
-    shared_before = a.ring_size() + a.orphan_count();
+    depot_before = a.depot_size();
   });
   t.join();
-  // At exit the cache flushes its magazine, then the late deleter takes
-  // the remote path: both land on the shared side.
-  EXPECT_EQ(a.ring_size() + a.orphan_count(), shared_before + flushed + 1);
+  // At exit the cache flushes its magazine, then the late deleter frees
+  // straight into the depot: both land there.
+  EXPECT_EQ(a.depot_size(), depot_before + flushed + 1);
 }
 
 TEST(NodePool, ThreadChurnManyShortLivedThreads) {
-  // Regression target for the orphan protocol under thread churn: every
+  // Regression target for the thread-exit flush under thread churn: every
   // thread leaves blocks behind; footprint must stay bounded by reuse.
-  node_pool pool(small_cfg());
+  node_pool &pool = fresh_pool(1029);
   for (int round = 0; round < 16; ++round) {
     std::thread t([&] {
       std::vector<void *> mine;
@@ -200,6 +208,26 @@ TEST(NodePool, ThreadChurnManyShortLivedThreads) {
   // 16 threads x 8 live blocks each, all serialized: a handful of chunks
   // (first thread's carves) must have satisfied everyone.
   EXPECT_LE(pool.chunk_count(), 4u);
+}
+
+// A block that an exited thread flushed into the depot stays poisoned
+// there, so reading it reports use-after-poison.
+TEST(NodePoolDeathTest, DepotBlockIsPoisoned) {
+#if defined(__SANITIZE_ADDRESS__)
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  node_pool &pool = fresh_pool(1030);
+  EXPECT_DEATH(
+      {
+        void *p = nullptr;
+        std::thread t([&] { pool.deallocate(p = pool.allocate()); });
+        t.join();
+        volatile unsigned char stale = *static_cast<volatile unsigned char *>(p);
+        (void)stale;
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "pool blocks are poisoned only under AddressSanitizer";
+#endif
 }
 
 // The ASan CI target: pooled reclamation interleaved with explicit hazard
